@@ -32,12 +32,13 @@
 //! `Comm::shrink`, first post-shrink allreduce vs the pre-failure one) after
 //! an injected mid-allreduce rank death — the acceptance surface for the
 //! fault-tolerance layer. The `scaling` section records, per world size
-//! (n=8 → 1024 across 2–64 hosts), the flat (eager matrix) vs sparse (lazy
-//! connection table) pool reservation — including the n=1024 eager refusal —
-//! cross-checked against the `cmpi-scalesim` analytic model, plus measured
-//! collective times and the sparse-connection counters (queue pairs
-//! established vs the n² matrix, SRQ traffic, doorbell-gated ring probes) —
-//! the acceptance surface for the lazy connection subsystem.
+//! (n=8 → 1024 across 2–64 hosts), the lazy connection table's pool
+//! reservation cross-checked against the `cmpi-scalesim` analytic model,
+//! beside the analytic size of a flat `n × n` queue matrix, plus measured
+//! collective times after enough repetitions to promote queue pairs and the
+//! sparse-connection counters (queue pairs established vs the n² matrix,
+//! SRQ traffic, doorbell-gated ring probes) — the acceptance surface for the
+//! lazy connection subsystem.
 //!
 //! Two kinds of numbers are recorded:
 //!
@@ -60,7 +61,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cmpi_core::coll::{build_allreduce, build_bcast, CommView};
-use cmpi_core::queue::{QueueGeometry, QueueMatrix};
+use cmpi_core::queue::QueueGeometry;
 use cmpi_core::transport::conn::{srq_required_bytes, ConnTable, Doorbell, OBJ_SLACK};
 use cmpi_core::{
     CollTuning, Comm, DataPlaneMode, DataPlaneStats, ErrHandler, Execution, FaultPlan,
@@ -332,26 +333,25 @@ fn fault_recovery_rows(rank_counts: &[usize], sizes: &[usize]) -> Vec<FaultRecov
     rows
 }
 
-/// One flat-vs-sparse connection-state row of the scaling sweep. The sizing
-/// half uses the paper-default geometry (64 KiB cells — what a real deployment
-/// formats) and is cross-checked against the `cmpi-scalesim` analytic model;
-/// the measured half runs a real lazy universe with the small-cell scale
-/// config (`UniverseConfig::cxl_scale`) so n=1024 stays wall-clock feasible,
-/// and records the sparse-connection counters that prove per-rank state is
-/// O(active peers).
+/// One connection-state row of the scaling sweep. The sizing half uses the
+/// paper-default geometry (64 KiB cells — what a real deployment formats):
+/// the lazy connection state's pool reservation, cross-checked against the
+/// `cmpi-scalesim` analytic model, beside the analytic size of a flat
+/// `n × n` queue matrix. The measured half runs a real universe with the
+/// small-cell scale config (`UniverseConfig::cxl_scale`) so n=1024 stays
+/// wall-clock feasible, and records the sparse-connection counters that
+/// prove per-rank state is O(active peers).
 struct ScalingRow {
     ranks: usize,
     hosts: usize,
-    /// Pool bytes the eager `n × n` matrix demands at default geometry, or
-    /// `None` when the matrix is refused (over `MAX_MATRIX_BYTES`) — the
-    /// n=1024 refusal is itself a data point.
-    eager_bytes: Option<u128>,
     /// Pool bytes the lazy connection state reserves at default geometry.
     lazy_bytes: u128,
-    /// Analytic eager bytes (computable even past the refusal point).
+    /// Analytic pool bytes of a flat `n × n` queue matrix at default geometry.
     analytic_eager_bytes: u128,
     /// Worst-case queue-pairs the lazy mode can promote (`n · budget`).
     qp_capacity: u128,
+    /// Repetitions of the bcast + allreduce pair (the last one is timed).
+    reps: usize,
     bcast_ns: f64,
     allreduce_ns: f64,
     /// Σ over ranks of dedicated queue pairs established (sender side).
@@ -368,7 +368,7 @@ struct ScalingRow {
 }
 
 impl ScalingRow {
-    /// Fraction of the eager matrix the universe actually established:
+    /// Fraction of the flat matrix the universe actually established:
     /// `Σ queue-pairs / n²`. The acceptance criterion is that this stays ≪ 1
     /// at scale.
     fn qp_fill(&self) -> f64 {
@@ -376,10 +376,11 @@ impl ScalingRow {
     }
 }
 
-/// Run the flat-vs-sparse scaling sweep at each `(ranks, hosts)` point: size
-/// both disciplines at the paper-default geometry (asserting agreement with
-/// the scalesim analytic model), then run one bcast + one allreduce on a real
-/// lazy universe and harvest the sparse-connection counters.
+/// Run the scaling sweep at each `(ranks, hosts)` point: size the lazy
+/// connection state at the paper-default geometry (asserting agreement with
+/// the scalesim analytic model), then repeat a bcast + allreduce pair on a
+/// real universe until pairs cross `promotion_threshold`, time the last
+/// repetition and harvest the sparse-connection counters.
 fn scaling_rows(points: &[(usize, usize)], size: usize) -> Vec<ScalingRow> {
     let default_config = match UniverseConfig::cxl(2).transport {
         TransportConfig::CxlShm(t) => t,
@@ -410,48 +411,51 @@ fn scaling_rows(points: &[(usize, usize)], size: usize) -> Vec<ScalingRow> {
             analytic.lazy_bytes, lazy_bytes,
             "scalesim cross-check: lazy sizing diverges at n={ranks}"
         );
-        let eager_bytes = match QueueMatrix::required_bytes(ranks, default_geometry) {
-            Ok(b) => {
-                assert_eq!(
-                    analytic.eager_bytes, b as u128,
-                    "scalesim cross-check: eager sizing diverges at n={ranks}"
-                );
-                Some(b as u128)
-            }
-            // Over MAX_MATRIX_BYTES: the flat discipline refuses this world.
-            Err(_) => None,
+        // Measured run (small cells so n=1024 is wall-clock feasible). Every
+        // repetition sends the same tree of bcast messages, so the root's
+        // first child has seen `promotion_threshold` messages after that many
+        // repetitions and the next one promotes the pair.
+        let config = UniverseConfig::cxl_scale(ranks, hosts);
+        let reps = match &config.transport {
+            TransportConfig::CxlShm(t) => t.promotion_threshold as usize + 1,
+            _ => unreachable!(),
         };
-        // Measured lazy run (small cells so n=1024 is wall-clock feasible).
         let elems = (size / 8).max(1);
-        let reports = cmpi_core::Universe::run(
-            UniverseConfig::cxl_scale(ranks, hosts),
-            move |comm: &mut Comm| {
-                let mut v = vec![1.0f64; elems];
+        let reports = cmpi_core::Universe::run(config, move |comm: &mut Comm| {
+            let mut v = vec![1.0f64; elems];
+            let mut times = (0.0, 0.0);
+            for _ in 0..reps {
                 comm.barrier()?;
                 let t0 = comm.clock_ns();
                 comm.bcast_into(0, &mut v)?;
                 let bcast_ns = comm.clock_ns() - t0;
                 let t0 = comm.clock_ns();
                 comm.allreduce(&mut v, ReduceOp::Sum)?;
-                Ok((bcast_ns, comm.clock_ns() - t0))
-            },
-        )
+                times = (bcast_ns, comm.clock_ns() - t0);
+            }
+            Ok(times)
+        })
         .expect("scaling universe");
         let bcast_ns = reports.iter().map(|(r, _)| r.0).fold(0.0f64, f64::max);
         let allreduce_ns = reports.iter().map(|(r, _)| r.1).fold(0.0f64, f64::max);
         let sum = |f: fn(&cmpi_core::transport::TransportStats) -> u64| {
             reports.iter().map(|(_, rep)| f(&rep.stats)).sum::<u64>()
         };
+        let qps_established = sum(|s| s.qps_established);
+        assert!(
+            qps_established > 0,
+            "scaling sweep never promoted a queue pair at n={ranks}"
+        );
         rows.push(ScalingRow {
             ranks,
             hosts,
-            eager_bytes,
             lazy_bytes,
             analytic_eager_bytes: analytic.eager_bytes,
             qp_capacity: analytic.lazy_qp_capacity,
+            reps,
             bcast_ns,
             allreduce_ns,
-            qps_established: sum(|s| s.qps_established),
+            qps_established,
             qps_opened: sum(|s| s.qps_opened),
             srq_msgs: sum(|s| s.srq_msgs),
             doorbell_rings: sum(|s| s.doorbell_rings),
@@ -1182,9 +1186,8 @@ fn main() {
     };
     let fr_rows = fault_recovery_rows(&fr_ranks, &fr_sizes);
 
-    // The flat-vs-sparse connection-state scaling sweep: n=8 through n=1024
-    // across 2–64 hosts, sized at the paper geometry and measured on real
-    // lazy universes.
+    // The connection-state scaling sweep: n=8 through n=1024 across 2–64
+    // hosts, sized at the paper geometry and measured on real universes.
     let scale_points: Vec<(usize, usize)> = if smoke() {
         vec![(4, 2)]
     } else {
@@ -1459,21 +1462,16 @@ fn render_json(
     }
     s.push_str("  ],\n  \"scaling\": [\n");
     for (i, r) in scaling.iter().enumerate() {
-        let eager = match r.eager_bytes {
-            Some(b) => b.to_string(),
-            None => "null".into(),
-        };
         let _ = writeln!(
             s,
-            "    {{\"ranks\": {}, \"hosts\": {}, \"eager_bytes\": {}, \"eager_refused\": {}, \"lazy_bytes\": {}, \"analytic_eager_bytes\": {}, \"eager_over_lazy\": {:.1}, \"qp_capacity\": {}, \"bcast_ns\": {:.1}, \"allreduce_ns\": {:.1}, \"qps_established\": {}, \"qps_opened\": {}, \"srq_msgs\": {}, \"doorbell_rings\": {}, \"ring_probes\": {}, \"qp_fill\": {:.6}}}{}",
+            "    {{\"ranks\": {}, \"hosts\": {}, \"lazy_bytes\": {}, \"analytic_eager_bytes\": {}, \"eager_over_lazy\": {:.1}, \"qp_capacity\": {}, \"reps\": {}, \"bcast_ns\": {:.1}, \"allreduce_ns\": {:.1}, \"qps_established\": {}, \"qps_opened\": {}, \"srq_msgs\": {}, \"doorbell_rings\": {}, \"ring_probes\": {}, \"qp_fill\": {:.6}}}{}",
             r.ranks,
             r.hosts,
-            eager,
-            r.eager_bytes.is_none(),
             r.lazy_bytes,
             r.analytic_eager_bytes,
             r.analytic_eager_bytes as f64 / r.lazy_bytes as f64,
             r.qp_capacity,
+            r.reps,
             r.bcast_ns,
             r.allreduce_ns,
             r.qps_established,

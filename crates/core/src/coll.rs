@@ -60,9 +60,7 @@
 //! `gather_into`, `allgather_into`, `scatter_from`, `reduce`, `allreduce`,
 //! `reduce_scatter`, `scan`, `exscan`) and move [`Pod`] buffers through the
 //! byte transports without per-element encoding, binding cached plans from
-//! this module's builders; the deprecated `*_bytes` variants here carry the
-//! legacy byte-vector API (variable-length contributions) and back the
-//! deprecated `Comm` shims. The `allreduce`/`allgather_into` free functions
+//! this module's builders. The `allreduce`/`allgather_into` free functions
 //! remain as the uncached direct path used during communicator construction
 //! (context-id agreement runs before the new communicator has a cache).
 
@@ -114,13 +112,6 @@ pub(crate) fn bind_coll_tag(tag_off: Tag, seq: u32) -> Tag {
     COLL_TAG_BASE + ((seq % COLL_SEQ_WINDOW) as i32) * SEQ_TAG_STRIDE + tag_off
 }
 
-/// Fully resolved tag of collective `kind` at `step` under sequence number
-/// `seq` (the straight-line byte shims send with this directly; plan ops
-/// store the offset half and bind the sequence later).
-pub(crate) fn coll_tag(kind: i32, step: usize, seq: u32) -> Tag {
-    bind_coll_tag(coll_tag_off(kind, step), seq)
-}
-
 /// One communicator, seen from one rank: the rank group, the context id that
 /// scopes its tag space, and this rank's position within the group.
 #[derive(Debug, Clone, Copy)]
@@ -142,16 +133,6 @@ impl CommView<'_> {
     /// World rank of local rank `local`.
     pub fn world(&self, local: Rank) -> Rank {
         self.group.world_rank(local)
-    }
-
-    fn check_root(&self, root: Rank) -> Result<()> {
-        if root >= self.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -467,60 +448,6 @@ fn build_barrier_hier(view: &CommView<'_>, hier: &HostHierarchy) -> CollPlan {
 // Broadcast
 // ----------------------------------------------------------------------
 
-/// Broadcast `data` from `root` to every rank using a binomial tree.
-/// On non-root ranks the contents of `data` are replaced (and may change
-/// length — the legacy byte semantics).
-#[deprecated(
-    since = "0.2.0",
-    note = "legacy byte path kept only for the deprecated `Comm::bcast` shim; use the \
-            plan-layer `build_bcast` / `Comm::bcast_into` instead"
-)]
-pub fn bcast_bytes(
-    t: &mut dyn Transport,
-    clock: &mut SimClock,
-    view: &CommView<'_>,
-    seq: u32,
-    root: Rank,
-    data: &mut Vec<u8>,
-) -> Result<()> {
-    view.check_root(root)?;
-    if view.size() == 1 {
-        return Ok(());
-    }
-    let n = view.size();
-    let me = view.rank;
-    let vrank = (me + n - root) % n;
-    if vrank != 0 {
-        let highest = 1usize << (usize::BITS - 1 - vrank.leading_zeros());
-        let parent = (vrank - highest + root) % n;
-        let (_, payload) = t.recv_owned(
-            clock,
-            view.ctx,
-            Some(view.world(parent)),
-            Some(coll_tag(1, 0, seq)),
-        )?;
-        *data = payload;
-    }
-    let start_bit = if vrank == 0 {
-        0
-    } else {
-        (usize::BITS - vrank.leading_zeros()) as usize
-    };
-    let mut bit = 1usize << start_bit;
-    while vrank + bit < n {
-        let child = (vrank + bit + root) % n;
-        t.send(
-            clock,
-            view.world(child),
-            view.ctx,
-            coll_tag(1, 0, seq),
-            data,
-        )?;
-        bit <<= 1;
-    }
-    Ok(())
-}
-
 /// The single predicate deciding binomial vs van de Geijn for `n` ranks at
 /// `total` bytes — shared by the op emission, the flat label and the
 /// composite label, so they can never disagree. Deterministic on every rank.
@@ -796,51 +723,6 @@ fn push_bcast_scatter_allgather(plan: &mut Plan<'_, '_>, root: Rank, total: usiz
 // Gather / scatter
 // ----------------------------------------------------------------------
 
-/// Gather every rank's `send` buffer at `root`. Returns `Some(vec_of_buffers)`
-/// (indexed by local rank) on the root and `None` elsewhere. Contributions may
-/// differ in length (legacy byte semantics).
-#[deprecated(
-    since = "0.2.0",
-    note = "legacy byte path kept only for the deprecated `Comm::gather` shim; use the \
-            plan-layer `build_gather` / `Comm::gather_into` instead"
-)]
-pub fn gather_bytes(
-    t: &mut dyn Transport,
-    clock: &mut SimClock,
-    view: &CommView<'_>,
-    seq: u32,
-    root: Rank,
-    send: &[u8],
-) -> Result<Option<Vec<Vec<u8>>>> {
-    view.check_root(root)?;
-    let n = view.size();
-    let me = view.rank;
-    if me == root {
-        let mut out = vec![Vec::new(); n];
-        out[root] = send.to_vec();
-        // Receive from each member specifically (not wildcard): per-sender
-        // FIFO then guarantees that back-to-back gathers on one communicator
-        // cannot interleave (a fast rank's second contribution can never be
-        // consumed by the root's first gather).
-        for (r, slot) in out.iter_mut().enumerate() {
-            if r == root {
-                continue;
-            }
-            let (_, payload) = t.recv_owned(
-                clock,
-                view.ctx,
-                Some(view.world(r)),
-                Some(coll_tag(2, 0, seq)),
-            )?;
-            *slot = payload;
-        }
-        Ok(Some(out))
-    } else {
-        t.send(clock, view.world(root), view.ctx, coll_tag(2, 0, seq), send)?;
-        Ok(None)
-    }
-}
-
 /// Compile the linear gather of equal `block`-byte contributions at `root`.
 /// On the root the primary buffer is the `n × block` receive buffer (own
 /// block pre-placed by the caller); elsewhere it is the `block`-byte send
@@ -870,53 +752,6 @@ pub fn build_gather(view: &CommView<'_>, root: Rank, block: usize) -> CollPlan {
     } else {
         plan.send(root, 0, Loc::Buf, 0, block);
         plan.finish(None, Loc::Buf, (0, 0), (0, block), 0, "gather/linear")
-    }
-}
-
-/// Scatter one buffer per rank from `root` (legacy byte semantics: buffers may
-/// differ in length). On the root, `chunks` must contain exactly one buffer
-/// per local rank; elsewhere it must be `None`. Returns this rank's buffer.
-#[deprecated(
-    since = "0.2.0",
-    note = "legacy byte path kept only for the deprecated `Comm::scatter` shim; use the \
-            plan-layer `build_scatter` / `Comm::scatter_from` instead"
-)]
-pub fn scatter_bytes(
-    t: &mut dyn Transport,
-    clock: &mut SimClock,
-    view: &CommView<'_>,
-    seq: u32,
-    root: Rank,
-    chunks: Option<&[Vec<u8>]>,
-) -> Result<Vec<u8>> {
-    view.check_root(root)?;
-    let n = view.size();
-    let me = view.rank;
-    if me == root {
-        let chunks = chunks.ok_or_else(|| {
-            MpiError::InvalidCollective("scatter root must provide one chunk per rank".into())
-        })?;
-        if chunks.len() != n {
-            return Err(MpiError::InvalidCollective(format!(
-                "scatter root provided {} chunks for {} ranks",
-                chunks.len(),
-                n
-            )));
-        }
-        for (r, chunk) in chunks.iter().enumerate() {
-            if r != root {
-                t.send(clock, view.world(r), view.ctx, coll_tag(3, 0, seq), chunk)?;
-            }
-        }
-        Ok(chunks[root].clone())
-    } else {
-        let (_, payload) = t.recv_owned(
-            clock,
-            view.ctx,
-            Some(view.world(root)),
-            Some(coll_tag(3, 0, seq)),
-        )?;
-        Ok(payload)
     }
 }
 
@@ -951,51 +786,6 @@ pub fn build_scatter(view: &CommView<'_>, root: Rank, block: usize) -> CollPlan 
 // ----------------------------------------------------------------------
 // Allgather
 // ----------------------------------------------------------------------
-
-/// Ring allgather with the legacy byte semantics: every rank contributes
-/// `mine` and receives every rank's contribution, returned indexed by local
-/// rank. Contributions may differ in length.
-#[deprecated(
-    since = "0.2.0",
-    note = "legacy byte path kept only for the deprecated `Comm::allgather` shim; use the \
-            plan-layer `build_allgather` / `Comm::allgather_into` instead"
-)]
-pub fn allgather_bytes(
-    t: &mut dyn Transport,
-    clock: &mut SimClock,
-    view: &CommView<'_>,
-    seq: u32,
-    mine: &[u8],
-) -> Result<Vec<Vec<u8>>> {
-    let n = view.size();
-    let me = view.rank;
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-    out[me] = mine.to_vec();
-    if n == 1 {
-        return Ok(out);
-    }
-    let right = view.world((me + 1) % n);
-    let left = view.world((me + n - 1) % n);
-    // At step s we forward the block that originated at rank (me - s) mod n.
-    // Rank 0 receives before sending so the ring can never deadlock even when
-    // a block is larger than a queue's total capacity.
-    for step in 0..n - 1 {
-        let send_origin = (me + n - step) % n;
-        let recv_origin = (me + n - step - 1) % n;
-        let block = out[send_origin].clone();
-        let tag = coll_tag(4, step, seq);
-        if me == 0 {
-            let (_, payload) = t.recv_owned(clock, view.ctx, Some(left), Some(tag))?;
-            out[recv_origin] = payload;
-            t.send(clock, right, view.ctx, tag, &block)?;
-        } else {
-            t.send(clock, right, view.ctx, tag, &block)?;
-            let (_, payload) = t.recv_owned(clock, view.ctx, Some(left), Some(tag))?;
-            out[recv_origin] = payload;
-        }
-    }
-    Ok(out)
-}
 
 /// Compile the size-adaptive allgather of `block`-byte contributions into a
 /// plan over the `n × block` primary buffer (own block pre-placed at this

@@ -3156,133 +3156,6 @@ impl Comm {
         self.note_algo(plan.label, send_total as u64);
         Ok(out)
     }
-
-    // ------------------------------------------------------------------
-    // Legacy byte collectives (deprecated shims)
-    // ------------------------------------------------------------------
-
-    /// Broadcast `data` from `root` (byte semantics: non-root buffers are
-    /// replaced and may change length).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the typed `bcast_into` (fixed-size buffers) instead"
-    )]
-    #[allow(deprecated)]
-    pub fn bcast(&mut self, root: Rank, data: &mut Vec<u8>) -> Result<()> {
-        let bytes = data.len() as u64;
-        let seq = self.next_seq();
-        {
-            let io = &mut *self.shared.io();
-            coll::bcast_bytes(
-                io.transport.as_mut(),
-                &mut io.clock,
-                &self.view(),
-                seq,
-                root,
-                data,
-            )
-        }?;
-        self.note_coll(CollOp::Bcast, bytes);
-        Ok(())
-    }
-
-    /// Gather every rank's buffer at `root` (byte semantics: contributions may
-    /// differ in length).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the typed, flat-buffer `gather_into` instead"
-    )]
-    #[allow(deprecated)]
-    pub fn gather(&mut self, root: Rank, send: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
-        let bytes = send.len() as u64;
-        let seq = self.next_seq();
-        let out = {
-            let io = &mut *self.shared.io();
-            coll::gather_bytes(
-                io.transport.as_mut(),
-                &mut io.clock,
-                &self.view(),
-                seq,
-                root,
-                send,
-            )
-        }?;
-        self.note_coll(CollOp::Gather, bytes);
-        Ok(out)
-    }
-
-    /// Scatter one buffer per rank from `root` (byte semantics).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the typed, flat-buffer `scatter_from` instead"
-    )]
-    #[allow(deprecated)]
-    pub fn scatter(&mut self, root: Rank, chunks: Option<&[Vec<u8>]>) -> Result<Vec<u8>> {
-        let seq = self.next_seq();
-        let out = {
-            let io = &mut *self.shared.io();
-            coll::scatter_bytes(
-                io.transport.as_mut(),
-                &mut io.clock,
-                &self.view(),
-                seq,
-                root,
-                chunks,
-            )
-        }?;
-        self.note_coll(CollOp::Scatter, out.len() as u64);
-        Ok(out)
-    }
-
-    /// Allgather every rank's contribution (byte semantics: contributions may
-    /// differ in length).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the typed, flat-buffer `allgather_into` instead"
-    )]
-    #[allow(deprecated)]
-    pub fn allgather(&mut self, mine: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let bytes = mine.len() as u64;
-        let seq = self.next_seq();
-        let out = {
-            let io = &mut *self.shared.io();
-            coll::allgather_bytes(
-                io.transport.as_mut(),
-                &mut io.clock,
-                &self.view(),
-                seq,
-                mine,
-            )
-        }?;
-        self.note_coll(CollOp::Allgather, bytes);
-        Ok(out)
-    }
-
-    /// Reduce `f64` values to `root`.
-    #[deprecated(since = "0.2.0", note = "use the datatype-generic `reduce` instead")]
-    pub fn reduce_f64(
-        &mut self,
-        root: Rank,
-        values: &[f64],
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        self.reduce(root, values, op)
-    }
-
-    /// Allreduce `f64` values in place.
-    #[deprecated(since = "0.2.0", note = "use the datatype-generic `allreduce` instead")]
-    pub fn allreduce_f64(&mut self, values: &mut [f64], op: ReduceOp) -> Result<()> {
-        self.allreduce(values, op)
-    }
-
-    /// Reduce-scatter `f64` values; returns this rank's block.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the datatype-generic `reduce_scatter` instead"
-    )]
-    pub fn reduce_scatter_f64(&mut self, values: &[f64], op: ReduceOp) -> Result<Vec<f64>> {
-        self.reduce_scatter(values, op)
-    }
 }
 
 enum PollAny {

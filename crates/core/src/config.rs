@@ -9,22 +9,19 @@ use crate::error::MpiError;
 use crate::topology::HostTopology;
 use crate::Result;
 
-/// How the CXL transport provisions its per-pair connection state.
+/// The CXL transport's connection discipline. Lazy sparse connections are
+/// the only one: each rank owns a doorbell and a shared receive queue, and
+/// dedicated SPSC queue pairs are carved out of the pool on first use, only
+/// for pairs that actually talk, so per-rank transport memory is O(active
+/// peers). The one-variant enum and its
+/// [`CxlShmTransportConfig::conn_mode`] field remain only because the
+/// `perfbench` benchmark package names `ConnMode::Lazy`; the transport never
+/// reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ConnMode {
-    /// Lazy sparse connections (the default): each rank owns a doorbell and a
-    /// shared receive queue; dedicated SPSC queue pairs are carved out of the
-    /// pool on first use and only for pairs that actually talk, so per-rank
-    /// transport memory is O(active peers) and the universe scales to
-    /// thousands of ranks.
+    /// Doorbell + shared receive queue + lazily promoted queue pairs.
     #[default]
     Lazy,
-    /// Eagerly format the full `ranks × ranks` [`crate::queue::QueueMatrix`]
-    /// at universe construction — the original (pre-scaling) behavior, kept as
-    /// the flat baseline for equivalence testing and small worlds. Refuses
-    /// worlds whose matrix would exceed
-    /// [`crate::queue::QueueMatrix::MAX_MATRIX_BYTES`].
-    Eager,
 }
 
 /// Configuration of the CXL SHM transport (cMPI proper).
@@ -36,29 +33,29 @@ pub struct CxlShmTransportConfig {
     /// Number of cells per SPSC ring queue.
     pub cells_per_queue: usize,
     /// Bytes of CXL device memory to provision. `None` sizes the device
-    /// automatically from the queue matrix and expected windows.
+    /// automatically from the connection state and expected windows.
     pub device_size: Option<usize>,
     /// Coherence mode used on the data path (the paper uses `clflushopt`).
     pub coherence: CoherenceMode,
     /// Extra device headroom reserved for RMA windows and user objects, bytes.
     pub window_headroom: usize,
-    /// Eager queue matrix vs lazy sparse connection table (see [`ConnMode`]).
+    /// Connection discipline; always [`ConnMode::Lazy`] (see [`ConnMode`]).
     pub conn_mode: ConnMode,
-    /// Lazy mode: maximum dedicated send-side queue pairs one rank may
-    /// establish. Pairs past the budget keep flowing through the receiver's
-    /// shared receive queue forever, so per-rank pool demand stays hard-capped
-    /// at O(`qp_budget`) regardless of world size.
+    /// Maximum dedicated send-side queue pairs one rank may establish. Pairs
+    /// past the budget keep flowing through the receiver's shared receive
+    /// queue forever, so per-rank pool demand stays hard-capped at
+    /// O(`qp_budget`) regardless of world size.
     pub qp_budget: usize,
-    /// Lazy mode: messages a sender funnels through a peer's shared receive
-    /// queue before promoting the pair to a dedicated queue pair. `0` promotes
-    /// on the very first send.
+    /// Messages a sender funnels through a peer's shared receive queue before
+    /// promoting the pair to a dedicated queue pair. `0` promotes on the very
+    /// first send.
     pub promotion_threshold: u64,
-    /// Lazy mode: cells in each rank's shared receive queue ring (the
-    /// multi-producer cold path; same cell payload as the queue pairs).
+    /// Cells in each rank's shared receive queue ring (the multi-producer
+    /// cold path; same cell payload as the queue pairs).
     pub srq_cells: usize,
-    /// Lazy mode: byte stride between doorbell bitmap words. `8` packs the
-    /// words densely; the default `64` gives each 64-sender group word its own
-    /// cache line so senders in different groups never contend on a line.
+    /// Byte stride between doorbell bitmap words. `8` packs the words
+    /// densely; the default `64` gives each 64-sender group word its own cache
+    /// line so senders in different groups never contend on a line.
     pub doorbell_stride: usize,
 }
 
@@ -98,29 +95,19 @@ impl CxlShmTransportConfig {
         }
     }
 
-    /// Select eager vs lazy connection establishment.
-    pub fn with_conn_mode(mut self, mode: ConnMode) -> Self {
-        self.conn_mode = mode;
-        self
-    }
-
     fn validate(&self) -> Result<()> {
         if self.cell_size == 0 || self.cells_per_queue == 0 {
             return Err(MpiError::InvalidConfig(
                 "cell_size and cells_per_queue must be non-zero".into(),
             ));
         }
-        if self.conn_mode == ConnMode::Lazy {
-            if self.srq_cells == 0 {
-                return Err(MpiError::InvalidConfig(
-                    "srq_cells must be non-zero in lazy connection mode".into(),
-                ));
-            }
-            if self.doorbell_stride < 8 || !self.doorbell_stride.is_multiple_of(8) {
-                return Err(MpiError::InvalidConfig(
-                    "doorbell_stride must be a multiple of 8 (≥ 8)".into(),
-                ));
-            }
+        if self.srq_cells == 0 {
+            return Err(MpiError::InvalidConfig("srq_cells must be non-zero".into()));
+        }
+        if self.doorbell_stride < 8 || !self.doorbell_stride.is_multiple_of(8) {
+            return Err(MpiError::InvalidConfig(
+                "doorbell_stride must be a multiple of 8 (≥ 8)".into(),
+            ));
         }
         Ok(())
     }
@@ -537,15 +524,6 @@ impl UniverseConfig {
         self
     }
 
-    /// Override the connection mode of a CXL SHM transport (no-op on TCP,
-    /// whose endpoints are inherently lazy).
-    pub fn with_conn_mode(mut self, mode: ConnMode) -> Self {
-        if let TransportConfig::CxlShm(ref mut c) = self.transport {
-            c.conn_mode = mode;
-        }
-        self
-    }
-
     /// Override the progress-engine tuning.
     pub fn with_progress_tuning(mut self, progress: ProgressTuning) -> Self {
         self.progress = progress;
@@ -687,18 +665,13 @@ mod tests {
     }
 
     #[test]
-    fn conn_mode_defaults_and_overrides() {
+    fn conn_defaults_and_knob_validation() {
         let c = CxlShmTransportConfig::default();
         assert_eq!(c.conn_mode, ConnMode::Lazy);
         assert!(c.qp_budget > 0);
         assert!(c.srq_cells > 0);
         assert_eq!(c.doorbell_stride, 64);
-        let cfg = UniverseConfig::cxl_small(4).with_conn_mode(ConnMode::Eager);
-        match cfg.transport {
-            TransportConfig::CxlShm(ref c) => assert_eq!(c.conn_mode, ConnMode::Eager),
-            _ => unreachable!(),
-        }
-        // Invalid lazy knobs are rejected at topology validation.
+        // Invalid connection knobs are rejected at topology validation.
         let mut cfg = UniverseConfig::cxl_small(4);
         if let TransportConfig::CxlShm(ref mut c) = cfg.transport {
             c.srq_cells = 0;

@@ -28,9 +28,7 @@
 //! Collectives are **datatype-generic and zero-copy**: `allreduce<T>`,
 //! `bcast_into<T>`, `gather_into<T>`, `allgather_into<T>`, `scatter_from<T>`
 //! move [`pod::Pod`] buffers (`f64`, `i32`, ... slices) through the byte
-//! transports without per-element encoding. The pre-redesign byte-vector
-//! collectives (`bcast(&mut Vec<u8>)`, `reduce_f64`, `gather -> Vec<Vec<u8>>`,
-//! ...) survive as deprecated shims on `Comm`.
+//! transports without per-element encoding.
 //!
 //! ## Architecture
 //!

@@ -58,7 +58,7 @@ use cmpi_fabric::SimClock;
 
 use crate::coll::bind_coll_tag;
 use crate::error::MpiError;
-use crate::transport::Transport;
+use crate::transport::{SendCursor, Transport};
 use crate::types::{CtxId, Rank, ReduceOp, Status, Tag, COLL_TAG_BASE};
 use crate::Result;
 
@@ -346,10 +346,11 @@ pub struct Execution {
     plan: Arc<CollPlan>,
     /// Next op to execute.
     pos: usize,
-    /// Transport resume cursor of the in-flight `Send` op at `pos` (always 0
-    /// between `progress` calls: a send that has committed its first chunk is
-    /// finished within the same call to preserve ring contiguity).
-    send_cursor: usize,
+    /// Transport resume cursor of the in-flight `Send` op at `pos` (no
+    /// chunks published between `progress` calls: a send that has committed
+    /// its first chunk is finished within the same call to preserve ring
+    /// contiguity).
+    send_cursor: SendCursor,
     /// Live collective sequence number of this start.
     seq: u32,
     /// Scratch arena (kept across restarts, so persistent re-starts allocate
@@ -364,7 +365,7 @@ impl Execution {
         Execution {
             plan,
             pos: 0,
-            send_cursor: 0,
+            send_cursor: SendCursor::default(),
             seq,
             scratch,
         }
@@ -384,9 +385,12 @@ impl Execution {
     /// collectives). The scratch arena is kept; plans write scratch before
     /// reading it, so no re-zeroing is needed.
     pub(crate) fn restart(&mut self, seq: u32) {
-        debug_assert_eq!(self.send_cursor, 0, "restart of a mid-send execution");
+        debug_assert_eq!(
+            self.send_cursor.chunks, 0,
+            "restart of a mid-send execution"
+        );
         self.pos = 0;
-        self.send_cursor = 0;
+        self.send_cursor = SendCursor::default();
         self.seq = seq;
     }
 
@@ -465,7 +469,7 @@ impl Execution {
                         // (unblocking the peers that must drain ours) before
                         // deciding how to wait.
                         let drained = t.poll_incoming(clock)?;
-                        if self.send_cursor == 0 {
+                        if self.send_cursor.chunks == 0 {
                             // Nothing committed yet: the op can be deferred
                             // freely. Retry only if the drain made progress.
                             if drained == 0 {
@@ -490,7 +494,7 @@ impl Execution {
                             backoff.reset();
                         }
                     }
-                    self.send_cursor = 0;
+                    self.send_cursor = SendCursor::default();
                 }
                 SchedOp::Recv {
                     peer,

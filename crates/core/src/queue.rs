@@ -1,8 +1,9 @@
 //! SPSC message-cell ring queues in CXL shared memory (Section 3.3).
 //!
 //! cMPI replaces the per-host MPSC/MPMC receive queue of traditional MPI
-//! shared-memory channels with a **matrix of single-producer single-consumer
-//! ring queues**, one per (receiver, sender) pair. Because each queue has
+//! shared-memory channels with **single-producer single-consumer ring
+//! queues**, one per (receiver, sender) pair — established lazily, only for
+//! pairs that talk (see [`crate::transport::conn`]). Because each queue has
 //! exactly one producer and one consumer, enqueue and dequeue need no atomic
 //! read-modify-write operations — which the CXL pooled memory cannot provide
 //! across hosts — only ordinary loads and stores of the head and tail indices,
@@ -166,7 +167,7 @@ impl SpscQueue {
         self.geometry
     }
 
-    /// Zero the control block (done once, by the rank that creates the matrix).
+    /// Zero the control block (done once, by the rank that creates the queue).
     pub fn format(&self) -> Result<()> {
         self.obj.nt_store_u64_at(self.base + OFF_HEAD, 0)?;
         self.obj.nt_store_u64_at(self.base + OFF_HEAD_TS, 0)?;
@@ -344,90 +345,6 @@ impl SpscQueue {
             .nt_store_u64_at(self.base + OFF_HEAD_TS, now_ts.to_bits())?;
         self.obj.nt_store_u64_at(self.base + OFF_HEAD, head + 1)?;
         Ok(Some(header))
-    }
-}
-
-/// The full queue matrix: `ranks × ranks` SPSC queues inside one SHM object,
-/// indexed by `(receiver, sender)`.
-#[derive(Debug, Clone)]
-pub struct QueueMatrix {
-    obj: ShmObject,
-    ranks: usize,
-    geometry: QueueGeometry,
-}
-
-impl QueueMatrix {
-    /// Name of the SHM object holding the matrix.
-    pub const OBJECT_NAME: &'static str = "cmpi/msgq_matrix";
-
-    /// Hard cap on the bytes an eager queue matrix may demand from the pool.
-    /// In simulation the device is physically committed host RAM, so an
-    /// unchecked `ranks² × queue_bytes` product at large n would silently try
-    /// to commit hundreds of GiB; past this cap the eager mode refuses with an
-    /// actionable error instead (lazy mode has no matrix and no such cap).
-    pub const MAX_MATRIX_BYTES: usize = 8 << 30;
-
-    /// Total bytes needed for a matrix of `ranks × ranks` queues, with
-    /// overflow-checked arithmetic and the [`QueueMatrix::MAX_MATRIX_BYTES`]
-    /// cap enforced.
-    pub fn required_bytes(ranks: usize, geometry: QueueGeometry) -> Result<usize> {
-        let queue = geometry.checked_queue_bytes()?;
-        let total = ranks
-            .checked_mul(ranks)
-            .and_then(|pairs| pairs.checked_mul(queue));
-        match total {
-            Some(total) if total <= Self::MAX_MATRIX_BYTES => Ok(total),
-            _ => Err(MpiError::Transport(format!(
-                "eager queue matrix for {ranks} ranks needs {} × {queue} bytes, \
-                 over the {} byte cap (QueueMatrix::MAX_MATRIX_BYTES) — use lazy \
-                 connection mode (ConnMode::Lazy) or shrink cell_size/cells_per_queue",
-                ranks.saturating_mul(ranks),
-                Self::MAX_MATRIX_BYTES
-            ))),
-        }
-    }
-
-    /// Attach to a matrix stored in `obj`.
-    pub fn new(obj: ShmObject, ranks: usize, geometry: QueueGeometry) -> Result<Self> {
-        let required = Self::required_bytes(ranks, geometry)? as u64;
-        if obj.len() < required {
-            return Err(MpiError::Transport(format!(
-                "queue matrix object too small: {} < {}",
-                obj.len(),
-                required
-            )));
-        }
-        Ok(QueueMatrix {
-            obj,
-            ranks,
-            geometry,
-        })
-    }
-
-    /// Number of ranks the matrix was built for.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    /// The queue carrying messages from `sender` to `receiver`.
-    pub fn queue(&self, receiver: Rank, sender: Rank) -> SpscQueue {
-        debug_assert!(receiver < self.ranks && sender < self.ranks);
-        let idx = (receiver * self.ranks + sender) as u64;
-        SpscQueue::new(
-            self.obj.clone(),
-            idx * self.geometry.queue_bytes() as u64,
-            self.geometry,
-        )
-    }
-
-    /// Format every queue (called once by the creating rank).
-    pub fn format_all(&self) -> Result<()> {
-        for r in 0..self.ranks {
-            for s in 0..self.ranks {
-                self.queue(r, s).format()?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -674,65 +591,5 @@ mod tests {
         let (h2, p) = consumer.try_dequeue(0.0).unwrap().unwrap();
         assert_eq!(h2.src, 3);
         assert!(p.is_empty());
-    }
-
-    #[test]
-    fn matrix_queues_are_disjoint() {
-        let g = geom(128, 2);
-        let ranks = 3;
-        let bytes = QueueMatrix::required_bytes(ranks, g).unwrap();
-        let (obj_a, obj_b) = make_object(bytes);
-        let matrix_a = QueueMatrix::new(obj_a, ranks, g).unwrap();
-        let matrix_b = QueueMatrix::new(obj_b, ranks, g).unwrap();
-        matrix_a.format_all().unwrap();
-
-        // Rank 0 sends to rank 2, rank 1 sends to rank 2 — different queues.
-        let h = |src: Rank| CellHeader {
-            src,
-            ctx: 0,
-            tag: 0,
-            total_len: 1,
-            chunk_offset: 0,
-            chunk_len: 1,
-            timestamp: 0.0,
-        };
-        matrix_a.queue(2, 0).try_enqueue(&h(0), &[10]).unwrap();
-        matrix_a.queue(2, 1).try_enqueue(&h(1), &[20]).unwrap();
-        // Receiver drains its per-sender queues independently (on host B).
-        let (h0, p0) = matrix_b.queue(2, 0).try_dequeue(0.0).unwrap().unwrap();
-        let (h1, p1) = matrix_b.queue(2, 1).try_dequeue(0.0).unwrap().unwrap();
-        assert_eq!((h0.src, p0[0]), (0, 10));
-        assert_eq!((h1.src, p1[0]), (1, 20));
-        // Queue (0, 2) is untouched.
-        assert!(matrix_b.queue(0, 2).try_dequeue(0.0).unwrap().is_none());
-    }
-
-    #[test]
-    fn matrix_rejects_undersized_object() {
-        let g = geom(128, 2);
-        let (obj, _) = make_object(QueueMatrix::required_bytes(2, g).unwrap());
-        assert!(QueueMatrix::new(obj, 8, g).is_err());
-    }
-
-    #[test]
-    fn required_bytes_overflow_and_cap_are_actionable() {
-        // Arithmetic overflow of the ranks² × queue product.
-        let g = geom(usize::MAX / 2, 2);
-        let err = QueueMatrix::required_bytes(4, g).unwrap_err();
-        assert!(matches!(err, MpiError::Transport(_)));
-        assert!(err.to_string().contains("cell_size"), "{err}");
-        // No overflow, but a demand past the matrix cap (64 KiB cells at
-        // n=1024 would commit ~550 GiB of simulated device RAM).
-        let g = geom(64 * 1024, 8);
-        let err = QueueMatrix::required_bytes(1024, g).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("MAX_MATRIX_BYTES"), "{msg}");
-        assert!(msg.contains("lazy"), "{msg}");
-        // Sane geometries still size exactly.
-        let g = geom(1024, 4);
-        assert_eq!(
-            QueueMatrix::required_bytes(3, g).unwrap(),
-            9 * g.queue_bytes()
-        );
     }
 }

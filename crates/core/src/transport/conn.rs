@@ -14,7 +14,7 @@
 //!   ring carrying all traffic from peers that have not (yet) been promoted
 //!   to a dedicated queue pair, so a pair that exchanges two messages never
 //!   pays for a private ring;
-//! * **dedicated queue pairs** (the same SPSC cells as the eager matrix),
+//! * **dedicated queue pairs** (SPSC message-cell rings, [`crate::queue`]),
 //!   created by the sender once a pair crosses
 //!   [`crate::config::CxlShmTransportConfig::promotion_threshold`] messages
 //!   and bounded per rank by
@@ -499,9 +499,8 @@ impl ConnTable {
 
     /// Device bytes the lazy connection state of a whole universe may demand:
     /// per rank one doorbell, one SRQ, and up to the effective QP budget of
-    /// dedicated queues. Checked arithmetic with actionable errors — this is
-    /// the lazy counterpart of [`crate::queue::QueueMatrix::required_bytes`],
-    /// and it is linear in `ranks` instead of quadratic.
+    /// dedicated queues. Checked arithmetic with actionable errors; linear in
+    /// `ranks`, where a flat `ranks × ranks` queue matrix would be quadratic.
     pub fn required_device_bytes(
         ranks: usize,
         geometry: QueueGeometry,
@@ -968,15 +967,23 @@ mod tests {
         let n1024 = ConnTable::required_device_bytes(1024, g, &config).unwrap();
         // Linear in ranks up to the doorbell bitmaps — each rank's doorbell
         // grows one group word per 64 ranks, the only superlinear term (the
-        // eager matrix is quadratic in whole queues). Subtracting that term
+        // flat matrix is quadratic in whole queues). Subtracting that term
         // restores exact 16× scaling.
         let db64 = Doorbell::required_bytes(64, config.doorbell_stride).unwrap();
         let db1024 = Doorbell::required_bytes(1024, config.doorbell_stride).unwrap();
         assert_eq!(n1024 - 1024 * (db1024 - db64), 16 * n64);
         assert!(db1024 - db64 < 16 * 1024, "doorbell term stays tiny");
-        // The n=1024 lazy footprint fits comfortably under the eager cap that
-        // the same world size blows through at default cell size.
-        assert!(n1024 < crate::queue::QueueMatrix::MAX_MATRIX_BYTES);
+        // The n=1024 lazy footprint is a small fraction of the flat
+        // ranks × ranks queue matrix at the same geometry.
+        assert!(n1024 * 10 < 1024 * 1024 * g.queue_bytes());
+        // A geometry whose queue size overflows is refused with a message
+        // naming the knobs to shrink.
+        let overflowing = QueueGeometry {
+            cell_payload: usize::MAX / 2,
+            cells: 2,
+        };
+        let err = ConnTable::required_device_bytes(4, overflowing, &config).unwrap_err();
+        assert!(err.to_string().contains("cell_size"), "{err}");
         // Overflowing knobs surface an actionable error.
         let huge = CxlShmTransportConfig {
             qp_budget: usize::MAX / 2,

@@ -2,12 +2,14 @@
 //!
 //! Everything that crosses ranks lives in CXL shared memory:
 //!
-//! * two-sided messages travel through SPSC message-cell rings
-//!   ([`crate::queue`]): in **eager** mode the full ranks×ranks
-//!   [`QueueMatrix`] is formatted up front, in **lazy** mode (the default)
-//!   per-pair rings are established on first use behind the doorbell/SRQ
-//!   connection table of [`super::conn`], so per-rank state is O(active
-//!   peers) and an idle poll costs O(1) instead of a ranks-wide sweep;
+//! * two-sided messages travel as message cells through the lazy connection
+//!   state of [`super::conn`]: a sender publishes into the receiver's shared
+//!   receive queue (SRQ) until the pair has exchanged enough messages to be
+//!   promoted to a dedicated SPSC queue pair ([`crate::queue`]), whose
+//!   chunks ring the receiver's doorbell. Per-rank state is O(active peers)
+//!   and an idle poll costs O(1) instead of a ranks-wide sweep. Every send —
+//!   blocking or driven by the progress engine — runs through one resumable
+//!   step (`CxlTransport::send_step`);
 //! * RMA windows, their PSCW flags, bakery locks and fence barrier live in a
 //!   per-window SHM object ([`crate::rma`]);
 //! * the global barrier is the sequence-number barrier of [`crate::barrier`].
@@ -18,7 +20,7 @@
 //! the [`CxlCostModel`], with the [`CxlContentionModel`] throttling concurrent
 //! large transfers the way the paper's memory-hierarchy contention does.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cmpi_fabric::cost::CoherenceMode;
@@ -27,17 +29,17 @@ use cxl_shm::slots::SLOT_CELL_TS_OFF;
 use cxl_shm::{CxlShmArena, ShmObject, SlotLayout};
 
 use crate::barrier::SeqBarrier;
-use crate::config::{ConnMode, CxlShmTransportConfig};
+use crate::config::CxlShmTransportConfig;
 use crate::error::MpiError;
 use crate::p2p::{BufferPool, ChunkAssembler, PendingMessage, UnexpectedQueue};
-use crate::queue::{CellHeader, QueueGeometry, QueueMatrix, SpscQueue, CELL_HEADER_SIZE};
+use crate::queue::{CellHeader, QueueGeometry, SpscQueue, CELL_HEADER_SIZE};
 use crate::rma::layout::WINDOW_READY_MAGIC;
 use crate::rma::{BakeryLock, WindowLayout};
 use crate::spin::{PoisonFlag, SpinWait};
-use crate::transport::conn::ConnTable;
+use crate::transport::conn::{ConnTable, SrqConsumer};
 use crate::transport::{
-    no_data_plane, DataPlaneStats, DpWindow, FaultInjector, Transport, TransportCounters,
-    TransportStats, WinId,
+    no_data_plane, DataPlaneStats, DpWindow, FaultInjector, SendCursor, Transport,
+    TransportCounters, TransportStats, WinId,
 };
 use crate::types::{source_matches, tag_matches, CtxId, Rank, ReduceOp, Status, Tag};
 use crate::Result;
@@ -135,30 +137,20 @@ struct WindowState {
     held_locks: Vec<Rank>,
 }
 
-/// How per-pair connection state is materialized (the tentpole knob of the
-/// scaling work — see [`ConnMode`]).
-enum ConnState {
-    /// The seed design: the full ranks×ranks queue matrix, formatted at
-    /// universe construction. Kept verbatim as the flat baseline the scaling
-    /// sweeps compare against.
-    Eager(QueueMatrix),
-    /// Sparse mode: per-rank doorbell + shared receive queue, with dedicated
-    /// queue pairs established on first use ([`super::conn`]).
-    Lazy(Box<ConnTable>),
-}
-
 /// The CXL SHM transport (cMPI proper).
 pub struct CxlTransport {
     rank: Rank,
     ranks: usize,
     arena: CxlShmArena,
-    conn: ConnState,
+    /// Doorbell, shared receive queue and lazily promoted queue pairs: the
+    /// only per-pair connection state.
+    conn: ConnTable,
     barrier: SeqBarrier,
     unexpected: UnexpectedQueue,
-    /// One in-flight reassembly per sender ring: the progress engine's drain
-    /// path pulls whatever chunks have arrived into these without ever
-    /// blocking for the rest of a message, so two ranks mid-send to each
-    /// other can both keep pumping (a blocking drain here deadlocked them).
+    /// One in-flight reassembly per sender: the drain path pulls whatever
+    /// chunks have arrived into these without ever blocking for the rest of
+    /// a message, so two ranks mid-send to each other can both keep pumping
+    /// (a blocking drain here deadlocked them).
     partial_rx: Vec<Option<ChunkAssembler>>,
     windows: Vec<Option<WindowState>>,
     /// Per-communicator data-plane windows. `Some(None)` memoizes a failed
@@ -176,26 +168,41 @@ pub struct CxlTransport {
     active_pairs: usize,
     stats: Arc<TransportCounters>,
     cell_payload: usize,
-    poll_cursor: usize,
     /// Universe peer-death flag: every blocking wait checks it.
     poison: PoisonFlag,
     /// Fault injection armed on this rank (fault-tolerance testing only).
     fault: Option<FaultInjector>,
-    /// Progress-engine messages whose fault-injection hook already fired
-    /// (lazy mode): the SRQ's multi-producer ticket claim can lose the last
-    /// slot to a racing producer *after* the flow-control check, sending the
-    /// engine back to chunk 0 — this set keeps `on_send` one-per-message
-    /// across such re-entries. Keyed by `(dst, ctx, tag)`; concurrent
-    /// in-flight messages with an identical triple share one arming, an
-    /// accepted imprecision on an already-rare race.
-    fault_armed: BTreeSet<(Rank, CtxId, Tag)>,
-    /// Scratch for snapshots of the pending-sender set (keeps the lazy poll
-    /// path allocation-free in steady state).
+    /// Scratch for snapshots of the pending-sender set (keeps the poll path
+    /// allocation-free in steady state).
     pending_scan: Vec<Rank>,
     /// Reusable header+payload staging for `try_enqueue_with_scratch`.
     tx_scratch: Vec<u8>,
     /// Staging arena recycling the buffers of unexpected messages.
     pool: BufferPool,
+}
+
+/// A consumer-side queue a receive pumps: this rank's shared receive queue
+/// (chunks of many senders, in ticket order) or one sender's dedicated ring.
+#[derive(Clone, Copy)]
+enum Inbound<'a> {
+    Srq(&'a SrqConsumer),
+    Ring(&'a SpscQueue),
+}
+
+impl Inbound<'_> {
+    fn peek_header(self) -> Result<Option<CellHeader>> {
+        match self {
+            Inbound::Srq(q) => q.peek_header(),
+            Inbound::Ring(q) => q.peek_header(),
+        }
+    }
+
+    fn try_dequeue_into(self, now_ts: f64, dst: &mut [u8]) -> Result<Option<CellHeader>> {
+        match self {
+            Inbound::Srq(q) => q.try_dequeue_into(now_ts, dst),
+            Inbound::Ring(q) => q.try_dequeue_into(now_ts, dst),
+        }
+    }
 }
 
 impl std::fmt::Debug for CxlTransport {
@@ -210,19 +217,15 @@ impl std::fmt::Debug for CxlTransport {
 
 impl CxlTransport {
     /// Bytes of CXL device memory the connection state and barrier need for a
-    /// universe of `ranks` ranks with the given configuration. Eager mode
-    /// demands the quadratic queue matrix (and refuses outright past its
-    /// cap); lazy mode is linear in `ranks`.
+    /// universe of `ranks` ranks with the given configuration (linear in
+    /// `ranks`).
     pub fn required_shared_bytes(ranks: usize, config: &CxlShmTransportConfig) -> Result<usize> {
         let geometry = QueueGeometry {
             cell_payload: config.cell_size,
             cells: config.cells_per_queue,
         };
-        let conn = match config.conn_mode {
-            ConnMode::Eager => QueueMatrix::required_bytes(ranks, geometry)?,
-            ConnMode::Lazy => ConnTable::required_device_bytes(ranks, geometry, config)?,
-        };
-        conn.checked_add(SeqBarrier::required_bytes(ranks))
+        ConnTable::required_device_bytes(ranks, geometry, config)?
+            .checked_add(SeqBarrier::required_bytes(ranks))
             .and_then(|b| b.checked_add(2 * 64))
             .and_then(|b| b.checked_add(config.window_headroom))
             .ok_or_else(|| {
@@ -233,22 +236,20 @@ impl CxlTransport {
     }
 
     /// How many named SHM objects the runtime should size the arena directory
-    /// for: its own bookkeeping plus, in lazy mode, every doorbell, SRQ and
-    /// budgeted queue pair the connection tables may create.
+    /// for: its own bookkeeping plus every doorbell, SRQ and budgeted queue
+    /// pair the connection tables may create.
     pub fn arena_object_hint(ranks: usize, config: &CxlShmTransportConfig) -> usize {
-        let base = 256 + ranks * 8;
-        match config.conn_mode {
-            ConnMode::Eager => base,
-            ConnMode::Lazy => base + ConnTable::object_count_hint(ranks, config),
-        }
+        256 + ranks * 8 + ConnTable::object_count_hint(ranks, config)
     }
 
-    /// Build the transport for one rank. Rank 0 creates and formats the shared
-    /// structures; every other rank opens them by name and waits for the ready
-    /// flags — mirroring the root-creates-then-broadcasts flow of the paper.
-    /// `poison` is the universe's peer-death flag, raised by the runtime when
-    /// any rank exits abnormally; every blocking wait in this transport checks
-    /// it and fails with [`MpiError::PeerDead`].
+    /// Build the transport for one rank. Rank 0 creates and formats the
+    /// barrier; every other rank opens it by name and waits for the ready
+    /// flag — mirroring the root-creates-then-broadcasts flow of the paper.
+    /// Each rank then creates only its own doorbell + SRQ; peer state is
+    /// opened on first use. `poison` is the universe's peer-death flag,
+    /// raised by the runtime when any rank exits abnormally; every blocking
+    /// wait in this transport checks it and fails with
+    /// [`MpiError::PeerDead`].
     pub fn new(
         rank: Rank,
         ranks: usize,
@@ -278,36 +279,7 @@ impl CxlTransport {
             barrier_obj
         };
 
-        let conn = match config.conn_mode {
-            ConnMode::Eager => {
-                // The seed flow: rank 0 formats the whole matrix, everyone
-                // else waits on its ready flag.
-                let matrix_bytes = QueueMatrix::required_bytes(ranks, geometry)?;
-                let matrix_obj = if rank == 0 {
-                    let obj = arena.create(QueueMatrix::OBJECT_NAME, matrix_bytes + 64)?;
-                    let matrix = QueueMatrix::new(obj.clone(), ranks, geometry)?;
-                    matrix.format_all()?;
-                    obj.nt_store_u64_at(matrix_bytes as u64, WINDOW_READY_MAGIC)?;
-                    obj
-                } else {
-                    let obj = open_poisoned(&arena, QueueMatrix::OBJECT_NAME, &poison)?;
-                    spin_flag(&obj, matrix_bytes as u64, &poison, |v| {
-                        v == WINDOW_READY_MAGIC
-                    })?;
-                    obj
-                };
-                ConnState::Eager(QueueMatrix::new(matrix_obj, ranks, geometry)?)
-            }
-            ConnMode::Lazy => {
-                // Every rank creates only its own doorbell + SRQ; peer state
-                // is opened on first use. No cross-rank wait here beyond the
-                // barrier above.
-                let table =
-                    ConnTable::new(rank, ranks, arena.clone(), geometry, config, poison.clone())?;
-                ConnState::Lazy(Box::new(table))
-            }
-        };
-
+        let conn = ConnTable::new(rank, ranks, arena.clone(), geometry, config, poison.clone())?;
         let barrier = SeqBarrier::new(barrier_obj, 0, rank, ranks).with_poison(poison.clone());
 
         Ok(CxlTransport {
@@ -328,25 +300,12 @@ impl CxlTransport {
             active_pairs: (ranks / 2).max(1),
             stats: Arc::new(TransportCounters::default()),
             cell_payload: config.cell_size,
-            poll_cursor: 0,
             poison,
             fault: None,
-            fault_armed: BTreeSet::new(),
             pending_scan: Vec::new(),
             tx_scratch: Vec::new(),
             pool: BufferPool::new(),
         })
-    }
-
-    /// Established connection endpoints on this rank in lazy mode (send-side
-    /// queue pairs plus opened receive rings), `None` in eager mode where the
-    /// matrix always holds `ranks²` queues. The scaling tests assert this
-    /// stays far below `ranks²`.
-    pub fn queue_pair_endpoints(&self) -> Option<usize> {
-        match &self.conn {
-            ConnState::Lazy(t) => Some(t.qp_count()),
-            ConnState::Eager(_) => None,
-        }
     }
 
     /// Change the coherence mode on the data path (used by ablation benches).
@@ -457,15 +416,25 @@ impl CxlTransport {
     }
 
     // ------------------------------------------------------------------
-    // Two-sided internals
+    // Two-sided receive internals (doorbell + SRQ + sparse rings)
     // ------------------------------------------------------------------
+    //
+    // A receive never sweeps `0..ranks`. It
+    //
+    // 1. drains the doorbell summary into the pending-sender set (one
+    //    non-temporal load when idle, regardless of world size),
+    // 2. pumps the shared receive queue, where not-yet-promoted senders
+    //    publish their messages (two non-temporal loads when idle),
+    // 3. pumps only the pending senders' dedicated rings, retiring a sender
+    //    from the set once its ring is drained (senders re-ring the doorbell
+    //    for every chunk, so retirement never loses a wakeup).
     //
     // The receive path is allocation-free in steady state:
     //
     // * a receive posted into a caller buffer (`recv_into`, used by all typed
-    //   collectives) peeks the next cell header and, when it matches, dequeues
-    //   every chunk payload **directly into the caller's buffer** — no `Vec`
-    //   per chunk, no reassembly copy;
+    //   collectives) peeks the next cell header of a ring and, when it
+    //   matches, dequeues every chunk payload **directly into the caller's
+    //   buffer** — no `Vec` per chunk, no reassembly copy;
     // * messages that no receive asked for yet are reassembled into buffers
     //   recycled through the per-rank [`BufferPool`] staging arena and stashed
     //   on the unexpected queue; consuming them via `recv_into` returns the
@@ -525,71 +494,33 @@ impl CxlTransport {
         }
     }
 
-    /// The receive ring from `sender` in eager mode (panics in lazy mode —
-    /// lazy paths fetch rings through the connection table).
-    fn eager_rx_queue(&self, sender: Rank) -> SpscQueue {
-        match &self.conn {
-            ConnState::Eager(m) => m.queue(self.rank, sender),
-            ConnState::Lazy(_) => unreachable!("eager ring requested on lazy transport"),
+    /// Pull every chunk currently available in `queue` into its sender's
+    /// persistent assembler **without blocking**: chunks of a message
+    /// mid-publication are accepted incrementally (freeing cells, which is
+    /// what keeps a sender blocked on flow control moving), and the assembly
+    /// resumes on the next call. SRQ chunks of different senders interleave
+    /// in ticket order; each sender's chunks stay contiguous. Returns a
+    /// reassembled message as soon as its last chunk arrives, `None` when
+    /// the queue holds nothing further.
+    fn pump(&mut self, clock: &mut SimClock, queue: Inbound<'_>) -> Result<Option<PendingMessage>> {
+        if matches!(queue, Inbound::Ring(_)) {
+            TransportCounters::bump(&self.stats.ring_probes, 1);
         }
-    }
-
-    /// The send ring toward `dst` in eager mode.
-    fn eager_tx_queue(&self, dst: Rank) -> SpscQueue {
-        match &self.conn {
-            ConnState::Eager(m) => m.queue(dst, self.rank),
-            ConnState::Lazy(_) => unreachable!("eager ring requested on lazy transport"),
-        }
-    }
-
-    fn is_lazy(&self) -> bool {
-        matches!(self.conn, ConnState::Lazy(_))
-    }
-
-    /// The lazy connection table (panics in eager mode).
-    fn lazy(&mut self) -> &mut ConnTable {
-        match &mut self.conn {
-            ConnState::Lazy(t) => t,
-            ConnState::Eager(_) => unreachable!("lazy helper called on eager transport"),
-        }
-    }
-
-    /// Eager-mode wrapper: pump the matrix ring from `sender`.
-    fn pump_ring(&mut self, clock: &mut SimClock, sender: Rank) -> Result<Option<PendingMessage>> {
-        let queue = self.eager_rx_queue(sender);
-        self.pump_queue(clock, sender, &queue)
-    }
-
-    /// Pull every chunk currently available in the ring from `sender` into
-    /// that ring's persistent assembler **without blocking**: chunks of a
-    /// message mid-publication are accepted incrementally (freeing ring
-    /// cells, which is what keeps a sender blocked on flow control moving),
-    /// and the assembly resumes on the next call. Returns the reassembled
-    /// message once its last chunk arrives, `None` when the ring holds
-    /// nothing further (empty, or a partial message whose sender has not
-    /// published more yet).
-    fn pump_queue(
-        &mut self,
-        clock: &mut SimClock,
-        sender: Rank,
-        queue: &SpscQueue,
-    ) -> Result<Option<PendingMessage>> {
-        TransportCounters::bump(&self.stats.ring_probes, 1);
-        let mut asm = self.partial_rx[sender].take();
         loop {
             let Some(h) = queue.peek_header()? else {
-                self.partial_rx[sender] = asm;
                 return Ok(None);
             };
-            if asm.is_none() {
-                // Chunks of one message are contiguous per ring, so a fresh
-                // assembler always starts at a first-of-message header.
-                let total = h.total_len as usize;
-                let buf = self.pool.take(total);
-                asm = Some(ChunkAssembler::with_buffer(h.src, h.ctx, h.tag, total, buf));
-            }
-            let a = asm.as_mut().expect("assembler just ensured");
-            let dst = a.chunk_target(h.chunk_offset as usize, h.chunk_len as usize);
+            let sender = h.src;
+            // A fresh assembler always starts at a first-of-message header.
+            let mut asm = match self.partial_rx[sender].take() {
+                Some(asm) => asm,
+                None => {
+                    let total = h.total_len as usize;
+                    let buf = self.pool.take(total);
+                    ChunkAssembler::with_buffer(h.src, h.ctx, h.tag, total, buf)
+                }
+            };
+            let dst = asm.chunk_target(h.chunk_offset as usize, h.chunk_len as usize);
             let h = queue
                 .try_dequeue_into(clock.now(), dst)?
                 .expect("peeked cell vanished");
@@ -600,23 +531,95 @@ impl CxlTransport {
                 h.total_len as usize,
                 sender,
             );
-            let a = asm.as_mut().expect("assembler present");
-            a.commit_chunk(h.chunk_len as usize, clock.now());
-            if a.is_complete() {
-                let mut msg = asm.take().expect("assembler present").finish();
+            asm.commit_chunk(h.chunk_len as usize, clock.now());
+            if asm.is_complete() {
+                let mut msg = asm.finish();
                 msg.arrival = clock.now();
-                self.partial_rx[sender] = None;
                 TransportCounters::bump(&self.stats.msgs_received, 1);
                 TransportCounters::bump(&self.stats.bytes_received, msg.data.len() as u64);
                 return Ok(Some(msg));
             }
+            self.partial_rx[sender] = Some(asm);
         }
     }
 
+    /// Collect the doorbell, then pump the SRQ until it yields a message that
+    /// `keep` accepts (returned) — everything else goes to the unexpected
+    /// queue. Also returns how many messages were stashed.
+    fn pump_srq_until(
+        &mut self,
+        clock: &mut SimClock,
+        mut keep: impl FnMut(&PendingMessage) -> bool,
+    ) -> Result<(Option<PendingMessage>, usize)> {
+        self.conn.collect()?;
+        let srq = self.conn.my_srq.clone();
+        let mut stashed = 0;
+        while let Some(msg) = self.pump(clock, Inbound::Srq(&srq))? {
+            if keep(&msg) {
+                return Ok((Some(msg), stashed));
+            }
+            self.unexpected.push(msg);
+            stashed += 1;
+        }
+        Ok((None, stashed))
+    }
+
+    /// The senders a receive should probe: the single requested source when
+    /// its ring is known or flagged, otherwise the whole pending set.
+    fn ring_candidates(&self, src: Option<Rank>, out: &mut Vec<Rank>) {
+        out.clear();
+        match src {
+            Some(s) => {
+                if self.conn.pending.contains(&s) || self.conn.rx_contains(s) {
+                    out.push(s);
+                }
+            }
+            None => out.extend(self.conn.pending.iter().copied()),
+        }
+    }
+
+    /// Drop `sender` from the pending set once its ring holds nothing and no
+    /// reassembly is in flight. Safe because senders ring the doorbell after
+    /// every chunk: new data always re-flags them.
+    fn retire_sender(&mut self, sender: Rank, queue: &SpscQueue) -> Result<()> {
+        if self.partial_rx[sender].is_none() && !queue.has_message()? {
+            self.conn.pending.remove(&sender);
+        }
+        Ok(())
+    }
+
+    /// Pump the rings of the senders a receive with source selector `src`
+    /// should probe, like [`Self::pump_srq_until`], retiring each drained
+    /// sender from the pending set.
+    fn pump_rings_until(
+        &mut self,
+        clock: &mut SimClock,
+        src: Option<Rank>,
+        mut keep: impl FnMut(&PendingMessage) -> bool,
+    ) -> Result<(Option<PendingMessage>, usize)> {
+        let mut scan = std::mem::take(&mut self.pending_scan);
+        self.ring_candidates(src, &mut scan);
+        let mut stashed = 0;
+        for &sender in &scan {
+            let queue = self.conn.rx_queue(sender)?;
+            while let Some(msg) = self.pump(clock, Inbound::Ring(&queue))? {
+                if keep(&msg) {
+                    self.pending_scan = scan;
+                    return Ok((Some(msg), stashed));
+                }
+                self.unexpected.push(msg);
+                stashed += 1;
+            }
+            self.retire_sender(sender, &queue)?;
+        }
+        self.pending_scan = scan;
+        Ok((None, stashed))
+    }
+
     /// One matching attempt: search the unexpected queue, then poll the
-    /// relevant incoming queues once. `ctx` scopes the match to one
-    /// communicator; messages from other communicators found along the way are
-    /// stashed unexpected.
+    /// SRQ and the candidate rings once. `ctx` scopes the match to one
+    /// communicator; messages from other communicators found along the way
+    /// are stashed unexpected.
     fn try_match_once(
         &mut self,
         clock: &mut SimClock,
@@ -624,184 +627,27 @@ impl CxlTransport {
         src: Option<Rank>,
         tag: Option<Tag>,
     ) -> Result<Option<(Status, Vec<u8>)>> {
+        let overhead = self.cost.mpi_overhead();
         if let Some(m) = self.unexpected.take_match(ctx, src, tag) {
             clock.merge(m.arrival);
-            clock.advance(self.cost.mpi_overhead());
+            clock.advance(overhead);
             return Ok(Some((m.status, m.data)));
         }
-        if self.is_lazy() {
-            return self.lazy_match_once(clock, ctx, src, tag);
+        let keep = |m: &PendingMessage| m.matches(ctx, src, tag);
+        let mut found = self.pump_srq_until(clock, keep)?.0;
+        if found.is_none() {
+            found = self.pump_rings_until(clock, src, keep)?.0;
         }
-        let (start, count) = self.poll_plan(src);
-        for i in 0..count {
-            let sender = (start + i) % self.ranks;
-            while let Some(msg) = self.pump_ring(clock, sender)? {
-                if msg.matches(ctx, src, tag) {
-                    clock.advance(self.cost.mpi_overhead());
-                    return Ok(Some((msg.status, msg.data)));
-                }
-                self.unexpected.push(msg);
-            }
-        }
-        Ok(None)
-    }
-
-    // ------------------------------------------------------------------
-    // Lazy-mode receive internals (doorbell + SRQ + sparse rings)
-    // ------------------------------------------------------------------
-    //
-    // The lazy receive side never sweeps `0..ranks`. It
-    //
-    // 1. drains the doorbell summary into the pending-sender set (one
-    //    non-temporal load when idle, regardless of world size),
-    // 2. pumps the shared receive queue, where not-yet-promoted senders
-    //    publish whole messages (two non-temporal loads when idle),
-    // 3. pumps only the pending senders' dedicated rings, retiring a sender
-    //    from the set once its ring is drained (senders re-ring the doorbell
-    //    for every chunk, so retirement never loses a wakeup).
-
-    /// Drain this rank's doorbell into the connection table's pending set.
-    fn lazy_collect(&mut self) -> Result<()> {
-        self.lazy().collect()?;
-        Ok(())
-    }
-
-    /// Pump the shared receive queue: consume every published slot in ticket
-    /// order, assembling chunks per sender. Returns a message as soon as one
-    /// completes; never blocks.
-    fn pump_srq(&mut self, clock: &mut SimClock) -> Result<Option<PendingMessage>> {
-        let srq = match &self.conn {
-            ConnState::Lazy(t) => t.my_srq.clone(),
-            ConnState::Eager(_) => unreachable!("SRQ pump on eager transport"),
-        };
-        loop {
-            let Some(h) = srq.peek_header()? else {
-                return Ok(None);
-            };
-            let sender = h.src;
-            let mut asm = self.partial_rx[sender].take();
-            if asm.is_none() {
-                let total = h.total_len as usize;
-                let buf = self.pool.take(total);
-                asm = Some(ChunkAssembler::with_buffer(h.src, h.ctx, h.tag, total, buf));
-            }
-            let a = asm.as_mut().expect("assembler just ensured");
-            let dst = a.chunk_target(h.chunk_offset as usize, h.chunk_len as usize);
-            let h = srq
-                .try_dequeue_into(clock.now(), dst)?
-                .expect("peeked SRQ slot vanished");
-            clock.merge(h.timestamp);
-            self.charge_chunk_read(
-                clock,
-                h.chunk_len as usize + CELL_HEADER_SIZE,
-                h.total_len as usize,
-                sender,
-            );
-            let a = asm.as_mut().expect("assembler present");
-            a.commit_chunk(h.chunk_len as usize, clock.now());
-            if a.is_complete() {
-                let mut msg = asm.take().expect("assembler present").finish();
-                msg.arrival = clock.now();
-                TransportCounters::bump(&self.stats.msgs_received, 1);
-                TransportCounters::bump(&self.stats.bytes_received, msg.data.len() as u64);
-                return Ok(Some(msg));
-            }
-            self.partial_rx[sender] = asm;
-        }
-    }
-
-    /// The senders a lazy receive should probe: the single requested source
-    /// when its ring is known or flagged, otherwise the whole pending set.
-    fn lazy_candidates(&self, src: Option<Rank>, out: &mut Vec<Rank>) {
-        out.clear();
-        let ConnState::Lazy(t) = &self.conn else {
-            return;
-        };
-        match src {
-            Some(s) => {
-                if t.pending.contains(&s) || t.rx_contains(s) {
-                    out.push(s);
-                }
-            }
-            None => out.extend(t.pending.iter().copied()),
-        }
-    }
-
-    /// Drop `sender` from the pending set once its ring holds nothing and no
-    /// reassembly is in flight. Safe because senders ring the doorbell after
-    /// every chunk: new data always re-flags them.
-    fn lazy_retire(&mut self, sender: Rank, queue: &SpscQueue) -> Result<()> {
-        if self.partial_rx[sender].is_none() && !queue.has_message()? {
-            self.lazy().pending.remove(&sender);
-        }
-        Ok(())
-    }
-
-    fn lazy_match_once(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<Option<(Status, Vec<u8>)>> {
-        self.lazy_collect()?;
-        while let Some(msg) = self.pump_srq(clock)? {
-            if msg.matches(ctx, src, tag) {
-                clock.advance(self.cost.mpi_overhead());
-                return Ok(Some((msg.status, msg.data)));
-            }
-            self.unexpected.push(msg);
-        }
-        let mut scan = std::mem::take(&mut self.pending_scan);
-        self.lazy_candidates(src, &mut scan);
-        let res = self.match_rings_owned(clock, &scan, ctx, src, tag);
-        self.pending_scan = scan;
-        res
-    }
-
-    fn match_rings_owned(
-        &mut self,
-        clock: &mut SimClock,
-        senders: &[Rank],
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<Option<(Status, Vec<u8>)>> {
-        for &sender in senders {
-            let queue = self.lazy().rx_queue(sender)?;
-            while let Some(msg) = self.pump_queue(clock, sender, &queue)? {
-                if msg.matches(ctx, src, tag) {
-                    clock.advance(self.cost.mpi_overhead());
-                    return Ok(Some((msg.status, msg.data)));
-                }
-                self.unexpected.push(msg);
-            }
-            self.lazy_retire(sender, &queue)?;
-        }
-        Ok(None)
-    }
-
-    /// The ring-poll plan of a receive with source selector `src`:
-    /// `(start, count)` such that the candidate senders are
-    /// `(start + i) % ranks` for `i in 0..count` — a single ring for a
-    /// directed receive, all rings round-robin rotated for fairness under
-    /// wildcards. A plan instead of a `Vec` keeps the steady-state receive
-    /// path allocation-free.
-    fn poll_plan(&mut self, src: Option<Rank>) -> (Rank, usize) {
-        match src {
-            Some(s) => (s, 1),
-            None => {
-                let start = self.poll_cursor;
-                self.poll_cursor = (self.poll_cursor + 1) % self.ranks;
-                (start, self.ranks)
-            }
-        }
+        Ok(found.map(|msg| {
+            clock.advance(overhead);
+            (msg.status, msg.data)
+        }))
     }
 
     /// One matching attempt for a receive **into a caller buffer**: searches
     /// the unexpected queue (returning its staging buffer to the pool), then
-    /// peeks the candidate rings — a matching message at a ring head streams
-    /// straight into `buf` without touching the heap.
+    /// the SRQ, then peeks the candidate rings — a matching message at a
+    /// ring head streams straight into `buf` without touching the heap.
     fn try_match_once_into(
         &mut self,
         clock: &mut SimClock,
@@ -813,58 +659,20 @@ impl CxlTransport {
         if let Some(m) = self.unexpected.take_match(ctx, src, tag) {
             return self.deliver_staged(clock, m, buf).map(Some);
         }
-        if self.is_lazy() {
-            return self.lazy_match_once_into(clock, ctx, src, tag, buf);
-        }
-        let (start, count) = self.poll_plan(src);
-        for i in 0..count {
-            let sender = (start + i) % self.ranks;
-            let queue = self.eager_rx_queue(sender);
-            if let Some(status) = self.match_ring_into(clock, sender, &queue, ctx, src, tag, buf)? {
-                return Ok(Some(status));
-            }
-        }
-        Ok(None)
-    }
-
-    fn lazy_match_once_into(
-        &mut self,
-        clock: &mut SimClock,
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        buf: &mut [u8],
-    ) -> Result<Option<Status>> {
-        self.lazy_collect()?;
-        while let Some(msg) = self.pump_srq(clock)? {
-            if msg.matches(ctx, src, tag) {
-                return self.deliver_staged(clock, msg, buf).map(Some);
-            }
-            self.unexpected.push(msg);
+        if let (Some(msg), _) = self.pump_srq_until(clock, |m| m.matches(ctx, src, tag))? {
+            return self.deliver_staged(clock, msg, buf).map(Some);
         }
         let mut scan = std::mem::take(&mut self.pending_scan);
-        self.lazy_candidates(src, &mut scan);
-        let res = self.match_rings_into(clock, &scan, ctx, src, tag, buf);
-        self.pending_scan = scan;
-        res
-    }
-
-    fn match_rings_into(
-        &mut self,
-        clock: &mut SimClock,
-        senders: &[Rank],
-        ctx: CtxId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        buf: &mut [u8],
-    ) -> Result<Option<Status>> {
-        for &sender in senders {
-            let queue = self.lazy().rx_queue(sender)?;
+        self.ring_candidates(src, &mut scan);
+        for &sender in &scan {
+            let queue = self.conn.rx_queue(sender)?;
             if let Some(status) = self.match_ring_into(clock, sender, &queue, ctx, src, tag, buf)? {
+                self.pending_scan = scan;
                 return Ok(Some(status));
             }
-            self.lazy_retire(sender, &queue)?;
+            self.retire_sender(sender, &queue)?;
         }
+        self.pending_scan = scan;
         Ok(None)
     }
 
@@ -888,7 +696,7 @@ impl CxlTransport {
             // the ring head, so nothing newer from this sender can be
             // examined until it completes.
             if self.partial_rx[sender].is_some() {
-                match self.pump_queue(clock, sender, queue)? {
+                match self.pump(clock, Inbound::Ring(queue))? {
                     Some(msg) => {
                         if msg.matches(ctx, src, tag) {
                             return self.deliver_staged(clock, msg, buf).map(Some);
@@ -906,7 +714,7 @@ impl CxlTransport {
             if !Self::header_matches(&first, ctx, src, tag) {
                 // Not ours: pump it toward the unexpected queue without
                 // blocking if it is still being published.
-                match self.pump_queue(clock, sender, queue)? {
+                match self.pump(clock, Inbound::Ring(queue))? {
                     Some(msg) => {
                         self.unexpected.push(msg);
                         continue;
@@ -923,7 +731,7 @@ impl CxlTransport {
                 let poison = self.poison.clone();
                 let mut backoff = SpinWait::new();
                 let msg = loop {
-                    match self.pump_queue(clock, sender, queue)? {
+                    match self.pump(clock, Inbound::Ring(queue))? {
                         Some(msg) => break msg,
                         None => backoff.wait(&poison)?,
                     }
@@ -968,45 +776,56 @@ impl CxlTransport {
     }
 
     // ------------------------------------------------------------------
-    // Lazy-mode send internals
+    // Send internals: one resumable send
     // ------------------------------------------------------------------
 
-    /// Blocking send over the lazy connection state. Promoted pairs use
-    /// their dedicated ring and ring the receiver's doorbell after every
-    /// chunk (the receiver's drain depends on seeing the bit); cold pairs
-    /// publish through the receiver's shared receive queue, which the
-    /// receiver probes unconditionally — no doorbell.
-    fn send_lazy(
+    /// Resume the send of `data` to `dst` from `cursor`, publishing chunks
+    /// until the whole message is out (`Ok(true)`) or flow control stops it
+    /// (`Ok(false)`: the route is full, its head timestamp is merged, and
+    /// nothing of the stopped chunk is published). Both [`Transport::send`]
+    /// (which drives it to completion) and [`Transport::try_send_progress`]
+    /// (one call) run every message through here.
+    ///
+    /// Message entry happens exactly once per message, tracked by the
+    /// cursor: the fault hook fires (before any chunk is published, so peers
+    /// never observe a half-written message) and the software overhead is
+    /// charged. Until the first chunk is out, every call re-decides the route
+    /// with [`ConnTable::prepare_send`] (idempotent; promotes the pair to a
+    /// dedicated queue pair when it may); later chunks stay on the route of
+    /// the first. Queue-pair chunks ring the receiver's doorbell; SRQ chunks
+    /// need none (the receiver probes its SRQ unconditionally).
+    fn send_step(
         &mut self,
         clock: &mut SimClock,
         dst: Rank,
         ctx: CtxId,
         tag: Tag,
         data: &[u8],
-    ) -> Result<()> {
-        // Fault injection fires at message entry, before any chunk is
-        // published: peers never observe a half-written message.
-        if let Some(f) = self.fault.as_mut() {
-            f.on_send()?;
-        }
-        clock.advance(self.cost.mpi_overhead());
+        cursor: &mut SendCursor,
+    ) -> Result<bool> {
         let nt = self.cost.nt_access();
-        let (db, srq, qp) = {
-            let t = self.lazy();
-            t.prepare_send(dst, clock, nt)?;
-            let peer = t.peer(dst).expect("peer just prepared");
-            (peer.db.clone(), peer.srq.clone(), peer.qp.clone())
-        };
+        if !cursor.entered {
+            if let Some(f) = self.fault.as_mut() {
+                f.on_send()?;
+            }
+            clock.advance(self.cost.mpi_overhead());
+            cursor.entered = true;
+        }
+        if cursor.chunks == 0 {
+            self.conn.prepare_send(dst, clock, nt)?;
+        }
         let total = data.len();
-        let mut offset = 0usize;
-        let mut scratch = std::mem::take(&mut self.tx_scratch);
+        // A zero-length message is one header-only chunk.
+        let total_chunks = total.div_ceil(self.cell_payload).max(1);
         let mut last_ticket = None;
-        loop {
-            let chunk_end = (offset + self.cell_payload).min(total);
-            let chunk = &data[offset..chunk_end];
-            // Charge the publish cost first, then stamp the cell with the
-            // time at which the data is actually visible.
-            self.charge_chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total, dst);
+        while cursor.chunks < total_chunks {
+            let offset = cursor.chunks * self.cell_payload;
+            let chunk = &data[offset..(offset + self.cell_payload).min(total)];
+            // Charge the publish first and stamp the cell with the time at
+            // which the data is visible — on a copy of the clock, committed
+            // only if the chunk actually goes out.
+            let mut published = *clock;
+            self.charge_chunk_write(&mut published, chunk.len() + CELL_HEADER_SIZE, total, dst);
             let header = CellHeader {
                 src: self.rank,
                 ctx,
@@ -1014,223 +833,50 @@ impl CxlTransport {
                 total_len: total as u64,
                 chunk_offset: offset as u64,
                 chunk_len: chunk.len() as u32,
-                timestamp: clock.now(),
+                timestamp: published.now(),
             };
-            let mut backoff = SpinWait::new();
-            match &qp {
-                Some(queue) => loop {
-                    if queue.try_enqueue_with_scratch(&header, chunk, &mut scratch)? {
-                        db.ring(self.rank)?;
+            let peer = self.conn.peer(dst).expect("peer prepared at message entry");
+            let full_at = match &peer.qp {
+                Some(qp) => {
+                    if qp.try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)? {
+                        peer.db.ring(self.rank)?;
                         TransportCounters::bump(&self.stats.doorbell_rings, 1);
-                        clock.advance(2.0 * nt);
-                        break;
+                        published.advance(2.0 * nt);
+                        None
+                    } else {
+                        Some(qp.head_timestamp()?)
                     }
-                    // Ring full: the receiver is behind. Merge its published
-                    // timestamp so our clock reflects the wait, then retry.
-                    clock.merge(queue.head_timestamp()?);
-                    clock.advance(nt);
-                    if let Err(e) = backoff.wait(&self.poison) {
-                        self.tx_scratch = scratch;
-                        return Err(e);
-                    }
-                },
-                None => loop {
-                    match srq.try_enqueue_with_scratch(&header, chunk, &mut scratch)? {
-                        Some(ticket) => {
-                            last_ticket = Some(ticket);
-                            // The ticket claim is one RMW round-trip.
-                            clock.advance(nt);
-                            break;
-                        }
-                        None => {
-                            clock.merge(srq.head_timestamp()?);
-                            clock.advance(nt);
-                            if let Err(e) = backoff.wait(&self.poison) {
-                                self.tx_scratch = scratch;
-                                return Err(e);
-                            }
-                        }
-                    }
-                },
-            }
-            offset = chunk_end;
-            if offset >= total {
-                break;
-            }
-        }
-        self.tx_scratch = scratch;
-        self.lazy().note_sent(dst, last_ticket);
-        TransportCounters::bump(&self.stats.msgs_sent, 1);
-        TransportCounters::bump(&self.stats.bytes_sent, total as u64);
-        Ok(())
-    }
-
-    /// Exactly-once fault injection for the lazy progress path: arm a key on
-    /// the first attempt that passed flow control, keep it armed across the
-    /// SRQ's rare claim-race retreats, clear it at message completion.
-    fn fire_send_fault_once(&mut self, dst: Rank, ctx: CtxId, tag: Tag) -> Result<()> {
-        let key = (dst, ctx, tag);
-        if let Some(fault) = self.fault.as_mut() {
-            if !self.fault_armed.contains(&key) {
-                fault.on_send()?;
-                self.fault_armed.insert(key);
-            }
-        }
-        Ok(())
-    }
-
-    /// Nonblocking incremental send over the lazy connection state. Mirrors
-    /// the eager progress contract: enqueue whatever fits, hand control back
-    /// on flow control so the caller can drain its own inbound side.
-    fn try_send_progress_lazy(
-        &mut self,
-        clock: &mut SimClock,
-        dst: Rank,
-        ctx: CtxId,
-        tag: Tag,
-        data: &[u8],
-        cursor: &mut usize,
-    ) -> Result<bool> {
-        let nt = self.cost.nt_access();
-        let total = data.len();
-        let total_chunks = total.div_ceil(self.cell_payload).max(1);
-        if *cursor == 0 {
-            // Message entry: route decision (idempotent across re-entries —
-            // nothing has been enqueued yet, so switching to a freshly
-            // promoted queue pair between attempts is safe).
-            self.lazy().prepare_send(dst, clock, nt)?;
-        }
-        let (db, srq, qp) = {
-            let peer = self
-                .lazy()
-                .peer(dst)
-                .expect("peer prepared at message entry");
-            (peer.db.clone(), peer.srq.clone(), peer.qp.clone())
-        };
-        let mut scratch = std::mem::take(&mut self.tx_scratch);
-        let mut last_ticket = None;
-        while *cursor < total_chunks {
-            let offset = *cursor * self.cell_payload;
-            let chunk_end = (offset + self.cell_payload).min(total);
-            let chunk = &data[offset..chunk_end];
-            match &qp {
-                Some(queue) => {
-                    if !queue.has_space()? {
-                        clock.merge(queue.head_timestamp()?);
-                        clock.advance(nt);
-                        self.tx_scratch = scratch;
-                        return Ok(false);
-                    }
-                    if *cursor == 0 {
-                        if let Err(e) = self.fire_send_fault_once(dst, ctx, tag) {
-                            self.tx_scratch = scratch;
-                            return Err(e);
-                        }
-                        clock.advance(self.cost.mpi_overhead());
-                    }
-                    self.charge_chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total, dst);
-                    let header = CellHeader {
-                        src: self.rank,
-                        ctx,
-                        tag,
-                        total_len: total as u64,
-                        chunk_offset: offset as u64,
-                        chunk_len: chunk.len() as u32,
-                        timestamp: clock.now(),
-                    };
-                    // Single producer per queue pair: `has_space` cannot be
-                    // invalidated between the check and this enqueue.
-                    let enqueued = queue.try_enqueue_with_scratch(&header, chunk, &mut scratch)?;
-                    debug_assert!(enqueued, "ring filled despite has_space");
-                    db.ring(self.rank)?;
-                    TransportCounters::bump(&self.stats.doorbell_rings, 1);
-                    clock.advance(2.0 * nt);
                 }
                 None => {
-                    if !srq.has_space()? {
-                        clock.merge(srq.head_timestamp()?);
-                        clock.advance(nt);
-                        self.tx_scratch = scratch;
-                        return Ok(false);
-                    }
-                    if *cursor == 0 {
-                        if let Err(e) = self.fire_send_fault_once(dst, ctx, tag) {
-                            self.tx_scratch = scratch;
-                            return Err(e);
-                        }
-                        clock.advance(self.cost.mpi_overhead());
-                    }
-                    self.charge_chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total, dst);
-                    let header = CellHeader {
-                        src: self.rank,
-                        ctx,
-                        tag,
-                        total_len: total as u64,
-                        chunk_offset: offset as u64,
-                        chunk_len: chunk.len() as u32,
-                        timestamp: clock.now(),
-                    };
-                    match srq.try_enqueue_with_scratch(&header, chunk, &mut scratch)? {
+                    match peer
+                        .srq
+                        .try_enqueue_with_scratch(&header, chunk, &mut self.tx_scratch)?
+                    {
                         Some(ticket) => {
+                            // The ticket claim is one RMW round-trip.
                             last_ticket = Some(ticket);
-                            clock.advance(nt);
+                            published.advance(nt);
+                            None
                         }
-                        None => {
-                            // A racing producer took the last slot after the
-                            // flow-control check: retreat as a plain "full".
-                            // The re-entry re-charges a little virtual time —
-                            // accepted noise on a rare race.
-                            clock.merge(srq.head_timestamp()?);
-                            clock.advance(nt);
-                            self.tx_scratch = scratch;
-                            return Ok(false);
-                        }
+                        // Full, or a racing producer took the last slot.
+                        None => Some(peer.srq.head_timestamp()?),
                     }
                 }
+            };
+            if let Some(head_ts) = full_at {
+                // The receiver is behind: merge its published timestamp so
+                // our clock reflects the wait.
+                clock.merge(head_ts);
+                clock.advance(nt);
+                return Ok(false);
             }
-            *cursor += 1;
+            *clock = published;
+            cursor.chunks += 1;
         }
-        self.tx_scratch = scratch;
-        if self.fault.is_some() {
-            self.fault_armed.remove(&(dst, ctx, tag));
-        }
-        self.lazy().note_sent(dst, last_ticket);
+        self.conn.note_sent(dst, last_ticket);
         TransportCounters::bump(&self.stats.msgs_sent, 1);
         TransportCounters::bump(&self.stats.bytes_sent, total as u64);
         Ok(true)
-    }
-
-    /// Lazy drain: doorbell collect, SRQ pump, then only the flagged rings.
-    fn lazy_poll_incoming(&mut self, clock: &mut SimClock) -> Result<usize> {
-        let mut moved = 0usize;
-        self.lazy_collect()?;
-        while let Some(msg) = self.pump_srq(clock)? {
-            self.unexpected.push(msg);
-            moved += 1;
-        }
-        let mut scan = std::mem::take(&mut self.pending_scan);
-        self.lazy_candidates(None, &mut scan);
-        let res = self.drain_pending_rings(clock, &scan, &mut moved);
-        self.pending_scan = scan;
-        res?;
-        Ok(moved)
-    }
-
-    fn drain_pending_rings(
-        &mut self,
-        clock: &mut SimClock,
-        senders: &[Rank],
-        moved: &mut usize,
-    ) -> Result<()> {
-        for &sender in senders {
-            let queue = self.lazy().rx_queue(sender)?;
-            while let Some(msg) = self.pump_queue(clock, sender, &queue)? {
-                self.unexpected.push(msg);
-                *moved += 1;
-            }
-            self.lazy_retire(sender, &queue)?;
-        }
-        Ok(())
     }
 }
 
@@ -1252,57 +898,24 @@ impl Transport for CxlTransport {
         data: &[u8],
     ) -> Result<()> {
         self.check_rank(dst)?;
-        if self.is_lazy() {
-            return self.send_lazy(clock, dst, ctx, tag, data);
-        }
-        // Fault injection fires at message entry, before any chunk is
-        // published: peers never observe a half-written message.
-        if let Some(f) = self.fault.as_mut() {
-            f.on_send()?;
-        }
-        clock.advance(self.cost.mpi_overhead());
-        let queue = self.eager_tx_queue(dst);
-        let total = data.len();
-        let mut offset = 0usize;
-        let mut scratch = std::mem::take(&mut self.tx_scratch);
+        let mut cursor = SendCursor::default();
+        let mut backoff = SpinWait::new();
         loop {
-            let chunk_end = (offset + self.cell_payload).min(total);
-            let chunk = &data[offset..chunk_end];
-            // Charge the publish cost first, then stamp the cell with the time
-            // at which the data is actually visible.
-            self.charge_chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total, dst);
-            let header = CellHeader {
-                src: self.rank,
-                ctx,
-                tag,
-                total_len: total as u64,
-                chunk_offset: offset as u64,
-                chunk_len: chunk.len() as u32,
-                timestamp: clock.now(),
-            };
-            let mut backoff = SpinWait::new();
-            loop {
-                if queue.try_enqueue_with_scratch(&header, chunk, &mut scratch)? {
-                    break;
-                }
-                // Ring full: the receiver is behind. Merge its published
-                // timestamp so our clock reflects the wait, then retry.
-                clock.merge(queue.head_timestamp()?);
-                clock.advance(self.cost.nt_access());
-                if let Err(e) = backoff.wait(&self.poison) {
-                    self.tx_scratch = scratch;
-                    return Err(e);
-                }
+            let published = cursor.chunks;
+            if self.send_step(clock, dst, ctx, tag, data, &mut cursor)? {
+                return Ok(());
             }
-            offset = chunk_end;
-            if offset >= total {
-                break;
+            // Flow control: drain this rank's own inbound queues while
+            // waiting, exactly as the progress engine does — the receiver we
+            // wait on may itself be blocked sending to us. The backoff
+            // restarts whenever either side moved.
+            let drained = self.poll_incoming(clock)?;
+            if drained > 0 || cursor.chunks > published {
+                backoff.reset();
+            } else {
+                backoff.wait(&self.poison)?;
             }
         }
-        self.tx_scratch = scratch;
-        TransportCounters::bump(&self.stats.msgs_sent, 1);
-        TransportCounters::bump(&self.stats.bytes_sent, total as u64);
-        Ok(())
     }
 
     fn recv_owned(
@@ -1378,67 +991,10 @@ impl Transport for CxlTransport {
         ctx: CtxId,
         tag: Tag,
         data: &[u8],
-        cursor: &mut usize,
+        cursor: &mut SendCursor,
     ) -> Result<bool> {
         self.check_rank(dst)?;
-        if self.is_lazy() {
-            return self.try_send_progress_lazy(clock, dst, ctx, tag, data, cursor);
-        }
-        let total = data.len();
-        // The cursor counts chunks already enqueued (a zero-length message is
-        // one header-only chunk).
-        let total_chunks = total.div_ceil(self.cell_payload).max(1);
-        let queue = self.eager_tx_queue(dst);
-        let mut scratch = std::mem::take(&mut self.tx_scratch);
-        while *cursor < total_chunks {
-            let offset = *cursor * self.cell_payload;
-            let chunk_end = (offset + self.cell_payload).min(total);
-            let chunk = &data[offset..chunk_end];
-            if !queue.has_space()? {
-                // Ring full: the receiver is behind. Merge its published
-                // timestamp so our clock reflects the stall, then hand
-                // control back instead of spinning — the caller drains its
-                // own inbound rings and retries.
-                clock.merge(queue.head_timestamp()?);
-                clock.advance(self.cost.nt_access());
-                self.tx_scratch = scratch;
-                return Ok(false);
-            }
-            if *cursor == 0 {
-                // Message entry (first chunk about to be published): the
-                // fault-injection point. Firing here — after the flow-control
-                // check, before any bytes — keeps the count one-per-message
-                // and guarantees no partial message is ever visible.
-                if let Some(f) = self.fault.as_mut() {
-                    if let Err(e) = f.on_send() {
-                        self.tx_scratch = scratch;
-                        return Err(e);
-                    }
-                }
-                clock.advance(self.cost.mpi_overhead());
-            }
-            // Charge the publish cost first, then stamp the cell with the
-            // time at which the data is actually visible.
-            self.charge_chunk_write(clock, chunk.len() + CELL_HEADER_SIZE, total, dst);
-            let header = CellHeader {
-                src: self.rank,
-                ctx,
-                tag,
-                total_len: total as u64,
-                chunk_offset: offset as u64,
-                chunk_len: chunk.len() as u32,
-                timestamp: clock.now(),
-            };
-            // Single producer per (dst, src) ring: `has_space` cannot be
-            // invalidated between the check and this enqueue.
-            let enqueued = queue.try_enqueue_with_scratch(&header, chunk, &mut scratch)?;
-            debug_assert!(enqueued, "ring filled despite has_space");
-            *cursor += 1;
-        }
-        self.tx_scratch = scratch;
-        TransportCounters::bump(&self.stats.msgs_sent, 1);
-        TransportCounters::bump(&self.stats.bytes_sent, total as u64);
-        Ok(true)
+        self.send_step(clock, dst, ctx, tag, data, cursor)
     }
 
     fn debug_state(&self) -> String {
@@ -1453,38 +1009,24 @@ impl Transport for CxlTransport {
             .iter()
             .map(|m| (m.status.source, m.ctx, m.status.tag, m.data.len()))
             .collect();
-        let conn = match &self.conn {
-            ConnState::Eager(_) => "eager".to_string(),
-            ConnState::Lazy(t) => t.debug_state(),
-        };
         format!(
-            "rank={} partials={partials:?} unexpected={unexpected:?} conn={conn}",
-            self.rank
+            "rank={} partials={partials:?} unexpected={unexpected:?} conn={}",
+            self.rank,
+            self.conn.debug_state()
         )
     }
 
     fn poll_incoming(&mut self, clock: &mut SimClock) -> Result<usize> {
-        // Drain every incoming ring into the pool-backed unexpected queue:
-        // each cell freed returns ring space to the sender, so a peer
-        // blocked on ring-full flow control can finish its send while this
-        // rank is otherwise busy. `pump_ring` accepts partial messages
-        // incrementally and never blocks — essential, because the sender of
-        // a half-published message may itself be spinning in its own
-        // send-commit loop waiting for the cells this drain frees.
-        if self.is_lazy() {
-            return self.lazy_poll_incoming(clock);
-        }
-        let mut moved = 0usize;
-        for sender in 0..self.ranks {
-            if sender == self.rank {
-                continue;
-            }
-            while let Some(msg) = self.pump_ring(clock, sender)? {
-                self.unexpected.push(msg);
-                moved += 1;
-            }
-        }
-        Ok(moved)
+        // Drain the SRQ and every flagged ring into the pool-backed
+        // unexpected queue: each cell freed returns space to its sender, so a
+        // peer blocked on flow control can finish its send while this rank
+        // is otherwise busy. `pump` accepts partial messages incrementally
+        // and never blocks — essential, because the sender of a
+        // half-published message may itself be waiting for the cells this
+        // drain frees.
+        let (_, from_srq) = self.pump_srq_until(clock, |_| false)?;
+        let (_, from_rings) = self.pump_rings_until(clock, None, |_| false)?;
+        Ok(from_srq + from_rings)
     }
 
     fn barrier(&mut self, clock: &mut SimClock) -> Result<()> {
@@ -2068,14 +1610,12 @@ impl Transport for CxlTransport {
     }
 
     fn stats(&self) -> TransportStats {
-        // The lazy connection table keeps its own (single-writer) counters;
+        // The connection table keeps its own (single-writer) counters;
         // fold them into the shared snapshot.
         let mut s = self.stats.snapshot();
-        if let ConnState::Lazy(t) = &self.conn {
-            s.qps_established = t.counters.qps_established;
-            s.qps_opened = t.counters.qps_opened;
-            s.srq_msgs = t.counters.srq_msgs;
-        }
+        s.qps_established = self.conn.counters.qps_established;
+        s.qps_opened = self.conn.counters.qps_opened;
+        s.srq_msgs = self.conn.counters.srq_msgs;
         s
     }
 

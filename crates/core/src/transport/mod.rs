@@ -232,6 +232,18 @@ impl TransportCounters {
     }
 }
 
+/// Resume state of one message sent through
+/// [`Transport::try_send_progress`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SendCursor {
+    /// Chunks already published. `0` means nothing of the message is
+    /// visible to the receiver yet, so the caller may still defer it.
+    pub(crate) chunks: usize,
+    /// Whether the once-per-message entry work (fault hook, software
+    /// overhead) is done.
+    pub(crate) entered: bool,
+}
+
 /// Geometry of a communicator's shared exposure window, as reported by
 /// [`Transport::dp_window`]: what the collective builders need to decide
 /// whether a payload fits the single-copy data plane.
@@ -503,8 +515,8 @@ pub trait Transport: Send {
     }
 
     /// Make nonblocking progress on sending `data` to `dst`: `cursor` is the
-    /// transport-opaque resume state (start at 0 for a fresh message, pass
-    /// the same variable back on re-entry). Returns `true` once the whole
+    /// resume state (start from [`SendCursor::default`] for a fresh message,
+    /// pass the same value back on re-entry). Returns `true` once the whole
     /// message has been handed off, `false` — without blocking — when
     /// transport flow control (a full ring whose receiver has not drained)
     /// stops the send partway. The progress engine uses this for schedule
@@ -521,11 +533,11 @@ pub trait Transport: Send {
         ctx: CtxId,
         tag: Tag,
         data: &[u8],
-        cursor: &mut usize,
+        cursor: &mut SendCursor,
     ) -> Result<bool> {
-        debug_assert_eq!(*cursor, 0, "default try_send_progress cannot resume");
+        debug_assert_eq!(cursor.chunks, 0, "default try_send_progress cannot resume");
         self.send(clock, dst, ctx, tag, data)?;
-        *cursor = data.len();
+        cursor.chunks = 1;
         Ok(true)
     }
 

@@ -9,13 +9,15 @@
 //! front and promotes at most `min(budget, n-1)` queue-pairs per rank on
 //! first use, so the pool reservation is linear in `n` for a fixed budget.
 //!
-//! The model is deliberately parameterized on per-object byte costs instead
-//! of importing them: the bench harness feeds the real transport's numbers
+//! The transport implements only the lazy discipline; the flat matrix exists
+//! here alone, as the analytic baseline. The model is deliberately
+//! parameterized on per-object byte costs instead of importing them: the
+//! bench harness feeds the real transport's numbers
 //! (`QueueGeometry::queue_bytes`, doorbell/SRQ sizes, allocator slack) and
-//! asserts the analytic totals match `QueueMatrix::required_bytes` and
-//! `ConnTable::required_device_bytes` exactly, while this crate stays free of
-//! a core dependency. All arithmetic is `u128` so the flat side can be
-//! evaluated well past the point where it stops being allocatable.
+//! asserts the analytic lazy total matches `ConnTable::required_device_bytes`
+//! exactly, while this crate stays free of a core dependency. All arithmetic
+//! is `u128` so the flat side can be evaluated well past the point where it
+//! stops being allocatable.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,15 +1,15 @@
-//! Lazy sparse connection-state suite: byte-equivalence between the eager
-//! `ranks × ranks` queue matrix and the lazy connection table, large-world
-//! correctness at n=64/256/1024 across 8–64 simulated hosts, the
-//! O(active peers) memory bound (Σ queue-pairs ≪ n²), and the doorbell-gated
-//! poll regression (idle poll cost independent of world size).
+//! Lazy sparse connection-state suite: byte-equivalence between the CXL
+//! transport (doorbell + SRQ + lazily promoted queue pairs) and the TCP
+//! baseline, large-world correctness at n=64/256/1024 across 8–64 simulated
+//! hosts, the O(active peers) memory bound (Σ queue-pairs ≪ n²), and the
+//! doorbell-gated poll regression (idle poll cost independent of world size).
 
 mod common;
 
 use cmpi::fabric::cost::TcpNic;
 use cmpi::mpi::{
-    Comm, ConnMode, ErrHandler, FaultPlan, FaultTrigger, FtOutcome, MpiError, RankReport, ReduceOp,
-    Universe, UniverseConfig,
+    Comm, ErrHandler, FaultPlan, FaultTrigger, FtOutcome, MpiError, RankReport, ReduceOp, Universe,
+    UniverseConfig,
 };
 
 /// A composite workload touching every start path the equivalence matrix
@@ -72,19 +72,16 @@ fn run_digests(config: UniverseConfig) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Eager and lazy connection modes must produce byte-identical results; the
-/// TCP baseline (inherently lazy endpoints) must agree too.
+/// The CXL transport and the TCP baseline (inherently lazy endpoints) must
+/// produce byte-identical results.
 fn assert_equivalence(ranks: usize, hosts: usize) {
-    let base = UniverseConfig::cxl_small(ranks).with_hosts(hosts);
-    let eager = run_digests(base.clone().with_conn_mode(ConnMode::Eager));
-    let lazy = run_digests(base.with_conn_mode(ConnMode::Lazy));
-    assert_eq!(eager, lazy, "eager vs lazy digests differ at n={ranks}");
+    let cxl = run_digests(UniverseConfig::cxl_small(ranks).with_hosts(hosts));
     let tcp = run_digests(UniverseConfig::tcp(ranks, TcpNic::MellanoxCx6Dx).with_hosts(hosts));
-    assert_eq!(lazy, tcp, "CXL vs TCP digests differ at n={ranks}");
+    assert_eq!(cxl, tcp, "CXL vs TCP digests differ at n={ranks}");
 }
 
 #[test]
-fn sparse_vs_eager_equivalence_small_worlds() {
+fn cxl_vs_tcp_equivalence_small_worlds() {
     for n in [3, 5, 6, 7] {
         assert_equivalence(n, common::matrix_hosts());
     }
@@ -92,20 +89,20 @@ fn sparse_vs_eager_equivalence_small_worlds() {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "64-rank matrix: run under --release")]
-fn sparse_vs_eager_equivalence_n64() {
+fn cxl_vs_tcp_equivalence_n64() {
     assert_equivalence(64, 8);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "256-rank matrix: run under --release")]
-fn sparse_vs_eager_equivalence_n256() {
+fn cxl_vs_tcp_equivalence_n256() {
     assert_equivalence(256, 32);
 }
 
 /// The large-world correctness + memory-bound check: bcast / allreduce /
 /// allgather / barrier complete with correct bytes on a lazy universe, and
-/// the whole universe establishes far fewer queue pairs than the n² matrix
-/// the eager mode would format.
+/// the whole universe establishes far fewer queue pairs than a flat n²
+/// matrix would format.
 fn run_scale(ranks: usize, hosts: usize) -> Vec<RankReport> {
     let reports = Universe::run(
         UniverseConfig::cxl_scale(ranks, hosts),
@@ -204,62 +201,57 @@ fn idle_poll_probes_no_rings_regardless_of_world_size() {
 /// the dead-rank sweeps must not trip over never-connected peers.
 #[test]
 fn fault_with_never_connected_victim() {
-    for mode in [ConnMode::Lazy, ConnMode::Eager] {
-        let n = 6;
-        let victim = n - 1;
-        let config = UniverseConfig::cxl_small(n)
-            .with_hosts(2)
-            .with_conn_mode(mode)
-            .with_faults(vec![FaultPlan {
-                victim,
-                trigger: FaultTrigger::NthSend(1),
-            }]);
-        let outcomes = Universe::run_ft(config, move |comm: &mut Comm| {
-            comm.set_errhandler(ErrHandler::ErrorsReturn);
-            let mut result = loop {
-                let mut v = [comm.world_rank() as u64, 1];
-                match comm.allreduce(&mut v, ReduceOp::Sum) {
-                    Ok(()) => break v,
-                    Err(MpiError::ProcFailed { .. }) | Err(MpiError::Revoked(_)) => {
-                        match comm.agree(0) {
-                            Ok(_)
-                            | Err(MpiError::ProcFailed { .. })
-                            | Err(MpiError::Revoked(_)) => {}
-                            Err(e) => return Err(e),
-                        }
-                        *comm = comm.shrink()?;
+    let n = 6;
+    let victim = n - 1;
+    let config = UniverseConfig::cxl_small(n)
+        .with_hosts(2)
+        .with_faults(vec![FaultPlan {
+            victim,
+            trigger: FaultTrigger::NthSend(1),
+        }]);
+    let outcomes = Universe::run_ft(config, move |comm: &mut Comm| {
+        comm.set_errhandler(ErrHandler::ErrorsReturn);
+        let mut result = loop {
+            let mut v = [comm.world_rank() as u64, 1];
+            match comm.allreduce(&mut v, ReduceOp::Sum) {
+                Ok(()) => break v,
+                Err(MpiError::ProcFailed { .. }) | Err(MpiError::Revoked(_)) => {
+                    match comm.agree(0) {
+                        Ok(_) | Err(MpiError::ProcFailed { .. }) | Err(MpiError::Revoked(_)) => {}
+                        Err(e) => return Err(e),
                     }
-                    Err(e) => return Err(e),
+                    *comm = comm.shrink()?;
                 }
-            };
-            // One more verified round on the shrunk communicator.
-            comm.allreduce(&mut result, ReduceOp::Sum)?;
-            Ok((result, comm.group().world_ranks().to_vec()))
-        })
-        .expect("faulty universe");
-        assert!(outcomes[victim].is_killed(), "{mode:?}: victim survived");
-        let survivors: Vec<usize> = (0..n).filter(|&r| r != victim).collect();
-        let expect_sum: u64 = survivors.iter().map(|&r| r as u64).sum();
-        for (rank, outcome) in outcomes.iter().enumerate() {
-            if rank == victim {
-                continue;
+                Err(e) => return Err(e),
             }
-            match outcome {
-                FtOutcome::Survived((v, membership), _) => {
-                    assert_eq!(membership, &survivors, "{mode:?}: rank {rank} membership");
-                    // First round summed world ranks over survivors; the
-                    // second round re-summed the first round's result.
-                    assert_eq!(
-                        *v,
-                        [
-                            expect_sum * survivors.len() as u64,
-                            survivors.len() as u64 * survivors.len() as u64
-                        ],
-                        "{mode:?}: rank {rank} result"
-                    );
-                }
-                FtOutcome::Killed { .. } => panic!("{mode:?}: rank {rank} died unexpectedly"),
+        };
+        // One more verified round on the shrunk communicator.
+        comm.allreduce(&mut result, ReduceOp::Sum)?;
+        Ok((result, comm.group().world_ranks().to_vec()))
+    })
+    .expect("faulty universe");
+    assert!(outcomes[victim].is_killed(), "victim survived");
+    let survivors: Vec<usize> = (0..n).filter(|&r| r != victim).collect();
+    let expect_sum: u64 = survivors.iter().map(|&r| r as u64).sum();
+    for (rank, outcome) in outcomes.iter().enumerate() {
+        if rank == victim {
+            continue;
+        }
+        match outcome {
+            FtOutcome::Survived((v, membership), _) => {
+                assert_eq!(membership, &survivors, "rank {rank} membership");
+                // First round summed world ranks over survivors; the
+                // second round re-summed the first round's result.
+                assert_eq!(
+                    *v,
+                    [
+                        expect_sum * survivors.len() as u64,
+                        survivors.len() as u64 * survivors.len() as u64
+                    ],
+                    "rank {rank} result"
+                );
             }
+            FtOutcome::Killed { .. } => panic!("rank {rank} died unexpectedly"),
         }
     }
 }
@@ -308,7 +300,7 @@ fn alltoall_n64_under_tight_qp_budget() {
     .expect("tight-budget universe");
     let reports: Vec<RankReport> = reports.into_iter().map(|(_, r)| r).collect();
     // No QP explosion: the whole universe stays under budget × ranks
-    // dedicated queue pairs (the eager matrix would be ranks²).
+    // dedicated queue pairs (a flat matrix would be ranks²).
     let qps: u64 = reports.iter().map(|r| r.stats.qps_established).sum();
     let bound = (budget * ranks) as u64;
     assert!(
