@@ -145,9 +145,11 @@ impl HierRow {
 }
 
 /// One ring-vs-shm row of the data-plane sweep (CXL only — TCP has no shared
-/// pool to carve a window from). The counters come from rank 0's
-/// `RankReport::data_plane` of the shm-side run and prove the single-copy
-/// path actually carried the payloads.
+/// pool to carve a window from). The counters are every rank's
+/// `RankReport::data_plane` of the shm-side run summed with
+/// `DataPlaneStats::merge`, and prove the single-copy path actually carried
+/// the payloads (a bcast root exposes and never pulls, so rank 0 alone would
+/// show `bytes_pulled: 0`).
 struct DataPlaneRow {
     op: &'static str,
     ranks: usize,
@@ -580,7 +582,10 @@ fn collective_time(
     // A collective's completion time is the slowest rank's.
     let time = results.iter().map(|(r, _)| r.0).fold(0.0f64, f64::max);
     let algo = results[0].0 .1.clone();
-    let dp = results[0].1.data_plane;
+    let mut dp = DataPlaneStats::default();
+    for (_, report) in &results {
+        dp.merge(&report.data_plane);
+    }
     (time, algo, dp)
 }
 

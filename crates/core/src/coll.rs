@@ -58,29 +58,21 @@
 //!
 //! The typed entry points live on [`crate::comm::Comm`] (`bcast_into`,
 //! `gather_into`, `allgather_into`, `scatter_from`, `reduce`, `allreduce`,
-//! `reduce_scatter`, `scan`, `exscan`) and move [`Pod`] buffers through the
-//! byte transports without per-element encoding, binding cached plans from
-//! this module's builders. The `allreduce`/`allgather_into` free functions
-//! remain as the uncached direct path used during communicator construction
-//! (context-id agreement runs before the new communicator has a cache).
-
-use std::sync::Arc;
-
-use cmpi_fabric::SimClock;
+//! `reduce_scatter`, `scan`, `exscan`, ...) and move [`crate::pod::Pod`]
+//! buffers through the byte transports without per-element encoding. Each
+//! operation has one descriptor there whose builder is a plain `fn` of the
+//! plan-cache key, wrapping the matching `build_*` function of this module.
 
 use crate::config::{CollTuning, HierarchyMode};
 use crate::dataplane::{
     allreduce_shm_shared_bytes, build_allgather_shm, build_allreduce_shm, build_alltoall_shm,
     build_bcast_shm, build_reduce_shm, dp_selected,
 };
-use crate::error::MpiError;
 use crate::group::Group;
-use crate::pod::{bytes_of_mut, Pod};
-use crate::progress::{fold_bytes, CollPlan, Execution, FoldFn, Loc, SchedOp};
+use crate::progress::{fold_bytes, CollPlan, FoldFn, Loc, SchedOp};
 use crate::topology::HostHierarchy;
-use crate::transport::{DpWindow, Transport};
+use crate::transport::DpWindow;
 use crate::types::{CtxId, Rank, ReduceOp, Reducible, Tag, COLL_TAG_BASE};
-use crate::Result;
 
 /// How many in-flight collective sequence numbers the tag encoding keeps
 /// distinct before wrapping (per communicator; per-sender FIFO ordering makes
@@ -1046,47 +1038,6 @@ fn build_allgather_bruck(view: &CommView<'_>, block: usize) -> CollPlan {
     )
 }
 
-/// Allgather of equal-sized typed contributions into a flat buffer:
-/// `recv[r * send.len() .. (r + 1) * send.len()]` ends up holding local rank
-/// `r`'s `send` on every rank. Builds the size-adaptive schedule (Bruck for
-/// small blocks, ring for large) and runs it to completion. Returns the label
-/// of the algorithm used.
-#[allow(clippy::too_many_arguments)]
-pub fn allgather_into<T: Pod>(
-    t: &mut dyn Transport,
-    clock: &mut SimClock,
-    view: &CommView<'_>,
-    tuning: &CollTuning,
-    hier: Option<&HostHierarchy>,
-    seq: u32,
-    send: &[T],
-    recv: &mut [T],
-) -> Result<&'static str> {
-    let n = view.size();
-    let me = view.rank;
-    let block = send.len();
-    if recv.len() != n * block {
-        return Err(MpiError::InvalidCollective(format!(
-            "allgather_into receive buffer has {} elements, expected {} ({} ranks × {})",
-            recv.len(),
-            n * block,
-            n,
-            block
-        )));
-    }
-    recv[me * block..(me + 1) * block].copy_from_slice(send);
-    let plan = Arc::new(build_allgather(
-        view,
-        tuning,
-        hier,
-        None,
-        std::mem::size_of_val(send),
-    ));
-    let mut exec = Execution::new(Arc::clone(&plan), seq);
-    exec.run(t, clock, bytes_of_mut(recv))?;
-    Ok(plan.label)
-}
-
 // ----------------------------------------------------------------------
 // Reductions
 // ----------------------------------------------------------------------
@@ -1560,34 +1511,6 @@ fn push_rabenseifner_core(plan: &mut Plan<'_, '_>, core: CoreMap, count: usize, 
         hi = span_hi;
         bit <<= 1;
     }
-}
-
-/// Allreduce of typed values, updated in place on every rank. Builds the
-/// size-adaptive schedule (recursive doubling / Rabenseifner, with
-/// power-of-two fold elimination for other rank counts) and runs it to
-/// completion. Returns the label of the algorithm used.
-#[allow(clippy::too_many_arguments)]
-pub fn allreduce<T: Reducible>(
-    t: &mut dyn Transport,
-    clock: &mut SimClock,
-    view: &CommView<'_>,
-    tuning: &CollTuning,
-    hier: Option<&HostHierarchy>,
-    seq: u32,
-    values: &mut [T],
-    op: ReduceOp,
-) -> Result<&'static str> {
-    let plan = Arc::new(build_allreduce::<T>(
-        view,
-        tuning,
-        hier,
-        None,
-        values.len(),
-        op,
-    ));
-    let mut exec = Execution::new(Arc::clone(&plan), seq);
-    exec.run(t, clock, bytes_of_mut(values))?;
-    Ok(plan.label)
 }
 
 /// Compile the size-adaptive reduce-scatter of `count` elements of `T`: the

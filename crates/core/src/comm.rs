@@ -29,6 +29,12 @@
 //! on a rank-global lock for their bookkeeping. Blocking waits take the io
 //! lock once per progress *attempt*, never across a rendezvous, so two
 //! threads blocked on different communicators cannot deadlock the rank.
+//!
+//! The collective API — blocking, nonblocking `i*` and persistent `*_init`
+//! forms of every operation — lives in the `collective` child module: one
+//! descriptor per operation, three thin start adapters over it.
+
+mod collective;
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -41,16 +47,14 @@ use crate::dataplane::DP_SLOTS;
 use crate::engine::ProgressEngine;
 use crate::error::MpiError;
 use crate::group::Group;
-use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanOp};
+use crate::plan::{PlanCache, PlanCacheStats, PlanOp};
 use crate::pod::{bytes_of, bytes_of_mut, vec_from_bytes, Pod};
-use crate::progress::{CollPlan, CollState, Execution, ProgressCounters, ProgressStats};
-use crate::request::{PersistentMeta, Request, RequestState};
+use crate::progress::{CollPlan, Execution, ProgressCounters, ProgressStats};
+use crate::request::{Request, RequestState};
 use crate::spin::{PoisonFlag, SpinWait};
 use crate::topology::{HostHierarchy, HostTopology};
-use crate::transport::{
-    DataPlaneStats, DpWindow, Transport, TransportCounters, TransportStats, WinId,
-};
-use crate::types::{CtxId, Rank, ReduceOp, Reducible, Status, Tag, WORLD_CTX};
+use crate::transport::{DataPlaneStats, Transport, TransportCounters, TransportStats, WinId};
+use crate::types::{CtxId, Rank, ReduceOp, Status, Tag, WORLD_CTX};
 use crate::Result;
 
 /// Grouping criteria accepted by [`Comm::split_type`] (the `MPI_Comm_split_type`
@@ -122,23 +126,6 @@ pub struct CommCollStats {
     pub alltoalls: u64,
     /// Payload bytes this rank contributed across those collectives.
     pub payload_bytes: u64,
-}
-
-/// Which collective to account in [`CommCollStats`] (also carried by
-/// persistent requests so every `start` is counted).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CollOp {
-    Barrier,
-    Bcast,
-    Gather,
-    Scatter,
-    Allgather,
-    Reduce,
-    Allreduce,
-    ReduceScatter,
-    Scan,
-    Exscan,
-    Alltoall,
 }
 
 /// The wire half of a rank: the transport endpoint and the virtual clock,
@@ -494,44 +481,6 @@ impl Comm {
         apply_errhandler(&self.shared.poison, self.errhandler(), self.ctx, e)
     }
 
-    /// Blocking send-only execution (non-root contributor of a rooted
-    /// collective). Runs under one io-lock hold: the transports drain
-    /// incoming traffic internally while flow-control spinning, so a send
-    /// cannot deadlock against this rank's own unconsumed messages.
-    fn run_send_only_exec(&self, exec: &mut Execution, payload: &[u8]) -> Result<()> {
-        let sent = {
-            let io = &mut *self.shared.io();
-            exec.run_send_only(io.transport.as_mut(), &mut io.clock, payload)
-        };
-        sent.map_err(|e| self.map_ft_err(e))
-    }
-
-    /// Drive `exec` to completion with a **lock-per-attempt** loop: each
-    /// iteration takes the rank's io lock for one bounded progress attempt and
-    /// releases it before backing off, so concurrent threads of this rank (and
-    /// the background progress engine) interleave at attempt granularity
-    /// instead of serializing behind one blocked collective.
-    fn run_exec(&self, exec: &mut Execution, buf: &mut [u8]) -> Result<()> {
-        let mut backoff = SpinWait::new();
-        loop {
-            let step = {
-                let io = &mut *self.shared.io();
-                exec.progress(io.transport.as_mut(), &mut io.clock, buf, 0)
-            };
-            let step = step.map_err(|e| self.map_ft_err(e))?;
-            if step.done {
-                return Ok(());
-            }
-            if step.ops > 0 {
-                backoff.reset();
-            } else {
-                backoff
-                    .wait(&self.shared.poison)
-                    .map_err(|e| self.map_ft_err(e))?;
-            }
-        }
-    }
-
     /// Attribute a completion failure to the request at `index` in a
     /// `wait_any`/`wait_all`/`test_all` slice: names the request in the error
     /// detail and spends the failed request (so sibling requests stay
@@ -593,41 +542,6 @@ impl Comm {
         Ok(())
     }
 
-    /// The cached plan for `key` on this communicator, building (and caching)
-    /// it on first use. Every collective start — blocking, nonblocking or
-    /// persistent — funnels through here, so repeated shapes skip planning
-    /// entirely (and every start inherits the [`Comm::ft_precheck`] failure
-    /// gate); the cache is per context id and LRU-bounded by
-    /// [`CollTuning::plan_cache_entries`].
-    fn cached_plan(
-        &self,
-        key: PlanKey,
-        build: impl FnOnce(&CollTuning, Option<&HostHierarchy>, Option<DpWindow>) -> CollPlan,
-    ) -> Result<Arc<CollPlan>> {
-        self.ft_precheck()?;
-        // Probe first: the hit path pays one cache scan and nothing else.
-        // Hierarchy derivation (a lock + an Arc clone) is miss-only work —
-        // the built plan bakes the hierarchy decision in, and likewise the
-        // data-plane decision: the window is created (or definitively absent)
-        // at communicator construction, so its availability is fixed for the
-        // communicator's lifetime and safe to bake into cached plans.
-        if let Some(plan) = self.shard().plans.lookup(&key) {
-            return Ok(plan);
-        }
-        let hier = self.hier_for_coll();
-        let tuning = self.shared.tuning;
-        let dp = if tuning.data_plane == DataPlaneMode::Ring {
-            None
-        } else {
-            self.shared.io().transport.dp_window(self.ctx)
-        };
-        let plan = Arc::new(build(&tuning, hier.as_deref(), dp));
-        self.shard()
-            .plans
-            .insert(key, &plan, tuning.plan_cache_entries);
-        Ok(plan)
-    }
-
     /// Aggregate plan-cache counters of this rank (hits, misses, evictions,
     /// resident plans — across all communicators sharing the rank state; also
     /// surfaced in [`crate::runtime::RankReport::plan_cache`]).
@@ -664,29 +578,28 @@ impl Comm {
     }
 
     /// Record a started collective: transport counters (atomics), this
-    /// communicator's op counters (shard lock). Takes no io lock.
-    fn note_coll(&self, op: CollOp, payload_bytes: u64) {
+    /// communicator's op counters (shard lock), then the algorithm chosen and
+    /// its data-plane path (ctl lock). Takes no io lock.
+    fn note_coll(&self, op: PlanOp, payload_bytes: u64, algo: &'static str) {
         TransportCounters::bump(&self.shared.tstats.collectives, 1);
         TransportCounters::bump(&self.shared.tstats.collective_bytes, payload_bytes);
-        let entry = &mut self.shard().stats;
-        entry.payload_bytes += payload_bytes;
-        match op {
-            CollOp::Barrier => entry.barriers += 1,
-            CollOp::Bcast => entry.bcasts += 1,
-            CollOp::Gather => entry.gathers += 1,
-            CollOp::Scatter => entry.scatters += 1,
-            CollOp::Allgather => entry.allgathers += 1,
-            CollOp::Reduce => entry.reduces += 1,
-            CollOp::Allreduce => entry.allreduces += 1,
-            CollOp::ReduceScatter => entry.reduce_scatters += 1,
-            CollOp::Scan => entry.scans += 1,
-            CollOp::Exscan => entry.exscans += 1,
-            CollOp::Alltoall => entry.alltoalls += 1,
+        {
+            let entry = &mut self.shard().stats;
+            entry.payload_bytes += payload_bytes;
+            *match op {
+                PlanOp::Barrier => &mut entry.barriers,
+                PlanOp::Bcast => &mut entry.bcasts,
+                PlanOp::Gather => &mut entry.gathers,
+                PlanOp::Scatter => &mut entry.scatters,
+                PlanOp::Allgather => &mut entry.allgathers,
+                PlanOp::Reduce => &mut entry.reduces,
+                PlanOp::Allreduce => &mut entry.allreduces,
+                PlanOp::ReduceScatter => &mut entry.reduce_scatters,
+                PlanOp::Scan => &mut entry.scans,
+                PlanOp::Exscan => &mut entry.exscans,
+                PlanOp::Alltoall | PlanOp::Alltoallv | PlanOp::Alltoallw => &mut entry.alltoalls,
+            } += 1;
         }
-    }
-
-    /// Record the algorithm chosen for a started collective (ctl lock only).
-    fn note_algo(&self, algo: &'static str, payload_bytes: u64) {
         let ctl = &mut *self.shared.ctl();
         ctl.last_algo = algo;
         *ctl.algo_counts.entry(algo).or_insert(0) += 1;
@@ -876,28 +789,20 @@ impl Comm {
     pub fn comm_dup(&mut self) -> Result<Comm> {
         self.ft_precheck()?;
         let hier = self.hier_for_coll();
-        let view = self.view();
         let tuning = self.shared.tuning;
-        let seq = self.next_seq();
+        let plan = coll::build_allreduce::<u64>(
+            &self.view(),
+            &tuning,
+            hier.as_deref(),
+            None,
+            1,
+            ReduceOp::Max,
+        );
         let mut proposal = [self.shared.ctl().next_ctx as u64];
-        let algo = {
-            let io = &mut *self.shared.io();
-            coll::allreduce(
-                io.transport.as_mut(),
-                &mut io.clock,
-                &view,
-                &tuning,
-                hier.as_deref(),
-                seq,
-                &mut proposal,
-                ReduceOp::Max,
-            )
-        }
-        .map_err(|e| self.map_ft_err(e))?;
+        let algo = self.run_setup_coll(plan, bytes_of_mut(&mut proposal))?;
         let new_ctx = proposal[0] as CtxId;
         self.shared.ctl().next_ctx = new_ctx + 1;
-        self.note_coll(CollOp::Allreduce, 8);
-        self.note_algo(algo, 8);
+        self.note_coll(PlanOp::Allreduce, 8, algo);
         self.shared
             .ensure_data_plane(new_ctx, self.group.world_ranks())?;
         let shard = self.shared.shard(new_ctx, self.group.size());
@@ -917,28 +822,14 @@ impl Comm {
     /// over this communicator — every member must call it.
     pub fn comm_split(&mut self, color: i32, key: i32) -> Result<Option<Comm>> {
         self.ft_precheck()?;
-        let n = self.group.size();
-        let mut gathered = vec![0i64; 3 * n];
-        let hier = self.hier_for_coll();
-        let view = self.view();
-        let tuning = self.shared.tuning;
-        let seq = self.next_seq();
         let mine = [color as i64, key as i64, self.shared.ctl().next_ctx as i64];
-        let algo = {
-            let io = &mut *self.shared.io();
-            coll::allgather_into(
-                io.transport.as_mut(),
-                &mut io.clock,
-                &view,
-                &tuning,
-                hier.as_deref(),
-                seq,
-                &mine,
-                &mut gathered,
-            )
-        }
-        .map_err(|e| self.map_ft_err(e))?;
-        self.note_algo(algo, 24);
+        let block = std::mem::size_of_val(&mine);
+        let mut gathered = vec![0i64; 3 * self.group.size()];
+        gathered[3 * self.rank..3 * self.rank + 3].copy_from_slice(&mine);
+        let hier = self.hier_for_coll();
+        let tuning = self.shared.tuning;
+        let plan = coll::build_allgather(&self.view(), &tuning, hier.as_deref(), None, block);
+        let algo = self.run_setup_coll(plan, bytes_of_mut(&mut gathered))?;
         // Agree on a context id unused by every member (max of proposals);
         // all colors of this split share it — their groups are disjoint,
         // so their (source, destination) pairs already are.
@@ -948,7 +839,7 @@ impl Comm {
             .max()
             .expect("split gathered at least this rank") as CtxId;
         self.shared.ctl().next_ctx = new_ctx + 1;
-        self.note_coll(CollOp::Allgather, 24);
+        self.note_coll(PlanOp::Allgather, block as u64, algo);
         if color < 0 {
             return Ok(None);
         }
@@ -984,6 +875,20 @@ impl Comm {
             rank: my_local,
             hier: Mutex::new(None),
         }))
+    }
+
+    /// Run a context-id agreement collective of [`Comm::comm_dup`] or
+    /// [`Comm::comm_split`] under one io-lock hold. Its plan stays out of the
+    /// cache and off the data plane: cached, it would collide with a user
+    /// collective of the same shape, whose plan may take the data plane.
+    fn run_setup_coll(&self, plan: CollPlan, buf: &mut [u8]) -> Result<&'static str> {
+        let mut exec = Execution::new(Arc::new(plan), self.next_seq());
+        let ran = {
+            let io = &mut *self.shared.io();
+            exec.run(io.transport.as_mut(), &mut io.clock, buf)
+        };
+        ran.map_err(|e| self.map_ft_err(e))?;
+        Ok(exec.plan().label)
     }
 
     /// Split the communicator by a topology criterion (the
@@ -1902,700 +1807,6 @@ impl Comm {
         Ok((status, vec_from_bytes(&data)))
     }
 
-    /// Barrier across all ranks of the communicator. The world communicator
-    /// (and any same-group duplicate) uses the transport's sequence-number
-    /// barrier — a shared flag array no message-passing scheme beats;
-    /// sub-communicators run a dissemination barrier over their own
-    /// point-to-point path, composed hierarchically (per-host fan-in, leader
-    /// dissemination, per-host fan-out) when the topology gates select it.
-    pub fn barrier(&mut self) -> Result<()> {
-        self.ft_precheck()?;
-        // The transport's sequence barrier is a single rank-wide rendezvous
-        // object: only the **world context** may use it. A same-group
-        // duplicate of world runs the plan-based path instead — two threads
-        // concurrently barriering on world and a world-spanning duplicate
-        // must not cross-match on one shared flag array.
-        let algo = if self.ctx == WORLD_CTX {
-            // Still draws a sequence number: every collective start on a
-            // context consumes one, so the counters agree across ranks no
-            // matter which barrier implementation a communicator uses.
-            let _seq = self.next_seq();
-            let entered = {
-                let io = &mut *self.shared.io();
-                io.transport.barrier(&mut io.clock)
-            };
-            entered.map_err(|e| self.map_ft_err(e))?;
-            "barrier/sequence"
-        } else {
-            let view = self.view();
-            let plan = self
-                .cached_plan(PlanKey::shaped(PlanOp::Barrier, 0), |tuning, hier, _| {
-                    coll::build_barrier(&view, tuning, hier)
-                })?;
-            let seq = self.next_seq();
-            let mut exec = Execution::new(Arc::clone(&plan), seq);
-            self.run_exec(&mut exec, &mut [])?;
-            plan.label
-        };
-        self.note_coll(CollOp::Barrier, 0);
-        self.note_algo(algo, 0);
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Nonblocking collectives (MPI-3 `i*` operations)
-    // ------------------------------------------------------------------
-    //
-    // Each starter compiles the *same* size-adaptive schedule the blocking
-    // collective would run (identical algorithms, tags and op orderings) and
-    // returns a [`Request`] owning the schedule plus copies of the payload.
-    // The request completes through the progress engine from
-    // `wait`/`test`/`wait_any`/`test_all`, mixing freely with p2p requests;
-    // results come back through [`Request::take_values`].
-    //
-    // Ordering rules: all ranks must start collectives on one communicator
-    // in the same order (as in MPI), and every started collective must
-    // eventually be completed on every rank. Progress only happens inside
-    // `wait`/`test`-family calls of the rank holding the request, and a bare
-    // `wait(&mut one_request)` advances only that request — so to complete
-    // several outstanding collectives, either wait for them in start order
-    // or drive them together (`wait_all`, a `wait_any` loop, `test_all`, or
-    // `test` polling), which progresses every request passed. Waiting single
-    // requests in an order that differs across ranks can deadlock (the
-    // weak-progress caveat of an engine without a progress thread; see the
-    // README's request-mixing rules).
-
-    /// Account and package a cached collective plan as a pending request:
-    /// draws the next sequence number and binds the plan to a fresh
-    /// execution.
-    fn start_coll(
-        &mut self,
-        plan: Arc<CollPlan>,
-        buf: Vec<u8>,
-        op: CollOp,
-        payload_bytes: u64,
-    ) -> Request {
-        let seq = self.next_seq();
-        self.note_coll(op, payload_bytes);
-        self.note_algo(plan.label, payload_bytes);
-        ProgressCounters::add(&self.shared.counters.colls_started, 1);
-        let request = Request::coll_pending(
-            self.ctx,
-            CollState::new(Execution::new(plan, seq), buf, self.rank),
-        );
-        // Register the fresh operation with the rank's outstanding-op
-        // registry: in Thread mode the background engine starts advancing it
-        // before the caller ever polls; in Polling mode it becomes visible
-        // to sibling waiters' cross-communicator sweeps.
-        if let Some(cell) = &request.coll {
-            self.shared.engine.enqueue(Arc::clone(cell));
-        }
-        request
-    }
-
-    /// Nonblocking barrier (`MPI_Ibarrier`): completes once every rank of the
-    /// communicator has entered it. Runs the dissemination-token plan on
-    /// every communicator (world included) — hierarchical when the topology
-    /// gates select it — so it can overlap with compute.
-    pub fn ibarrier(&mut self) -> Result<Request> {
-        let view = self.view();
-        let plan = self.cached_plan(PlanKey::shaped(PlanOp::Barrier, 0), |tuning, hier, _| {
-            coll::build_barrier(&view, tuning, hier)
-        })?;
-        Ok(self.start_coll(plan, Vec::new(), CollOp::Barrier, 0))
-    }
-
-    /// Nonblocking broadcast (`MPI_Ibcast`): the root contributes `buf`;
-    /// on completion every rank's request yields the broadcast values via
-    /// [`Request::take_values`]. All ranks must pass equal-length buffers
-    /// (non-root contents are ignored).
-    pub fn ibcast_into<T: Pod>(&mut self, root: Rank, buf: &[T]) -> Result<Request> {
-        self.world_of(root)?;
-        let bytes = std::mem::size_of_val(buf);
-        let view = self.view();
-        let plan = self.cached_plan(
-            PlanKey::rooted(PlanOp::Bcast, root, bytes),
-            |tuning, hier, dp| coll::build_bcast(&view, tuning, hier, dp, root, bytes),
-        )?;
-        Ok(self.start_coll(plan, bytes_of(buf).to_vec(), CollOp::Bcast, bytes as u64))
-    }
-
-    /// Nonblocking allreduce (`MPI_Iallreduce`): on completion every rank's
-    /// request yields the element-wise reduction of all contributions.
-    pub fn iallreduce<T: Reducible>(&mut self, values: &[T], op: ReduceOp) -> Result<Request> {
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(PlanOp::Allreduce, None, count, std::mem::size_of::<T>(), op),
-            |tuning, hier, dp| coll::build_allreduce::<T>(&view, tuning, hier, dp, count, op),
-        )?;
-        Ok(self.start_coll(plan, bytes_of(values).to_vec(), CollOp::Allreduce, bytes))
-    }
-
-    /// Nonblocking rooted reduce (`MPI_Ireduce`): on completion the root's
-    /// request yields the element-wise reduction of all contributions via
-    /// [`Request::take_values`]; non-root requests yield an empty result.
-    pub fn ireduce<T: Reducible>(
-        &mut self,
-        root: Rank,
-        values: &[T],
-        op: ReduceOp,
-    ) -> Result<Request> {
-        self.world_of(root)?;
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(
-                PlanOp::Reduce,
-                Some(root),
-                count,
-                std::mem::size_of::<T>(),
-                op,
-            ),
-            |tuning, hier, dp| coll::build_reduce::<T>(&view, tuning, hier, dp, root, count, op),
-        )?;
-        Ok(self.start_coll(plan, bytes_of(values).to_vec(), CollOp::Reduce, bytes))
-    }
-
-    /// Nonblocking allgather (`MPI_Iallgather`): on completion every rank's
-    /// request yields the flat `size × send.len()` buffer with local rank
-    /// `r`'s contribution at block `r`.
-    pub fn iallgather_into<T: Pod>(&mut self, send: &[T]) -> Result<Request> {
-        let n = self.group.size();
-        let block = std::mem::size_of_val(send);
-        let mut buf = vec![0u8; n * block];
-        buf[self.rank * block..(self.rank + 1) * block].copy_from_slice(bytes_of(send));
-        let view = self.view();
-        let plan = self.cached_plan(
-            PlanKey::shaped(PlanOp::Allgather, block),
-            |tuning, hier, dp| coll::build_allgather(&view, tuning, hier, dp, block),
-        )?;
-        Ok(self.start_coll(plan, buf, CollOp::Allgather, block as u64))
-    }
-
-    /// Nonblocking reduce-scatter (`MPI_Ireduce_scatter_block`): on completion
-    /// this rank's request yields its reduced block (`values.len() / size`
-    /// elements). `values.len()` must be divisible by the rank count.
-    pub fn ireduce_scatter<T: Reducible>(&mut self, values: &[T], op: ReduceOp) -> Result<Request> {
-        let n = self.group.size();
-        if !values.len().is_multiple_of(n) {
-            return Err(MpiError::InvalidCollective(format!(
-                "ireduce_scatter input of {} elements not divisible by {} ranks",
-                values.len(),
-                n
-            )));
-        }
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(
-                PlanOp::ReduceScatter,
-                None,
-                count,
-                std::mem::size_of::<T>(),
-                op,
-            ),
-            |tuning, _, _| coll::build_reduce_scatter::<T>(&view, tuning, count, op),
-        )?;
-        Ok(self.start_coll(
-            plan,
-            bytes_of(values).to_vec(),
-            CollOp::ReduceScatter,
-            bytes,
-        ))
-    }
-
-    /// Nonblocking gather (`MPI_Igather`): on completion the root's request
-    /// yields the flat `size × send.len()` buffer (rank `r`'s contribution at
-    /// block `r`); non-root requests yield an empty result.
-    pub fn igather_into<T: Pod>(&mut self, root: Rank, send: &[T]) -> Result<Request> {
-        self.world_of(root)?;
-        let n = self.group.size();
-        let block = std::mem::size_of_val(send);
-        let buf = if self.rank == root {
-            let mut b = vec![0u8; n * block];
-            b[root * block..(root + 1) * block].copy_from_slice(bytes_of(send));
-            b
-        } else {
-            bytes_of(send).to_vec()
-        };
-        let view = self.view();
-        let plan = self.cached_plan(PlanKey::rooted(PlanOp::Gather, root, block), |_, _, _| {
-            coll::build_gather(&view, root, block)
-        })?;
-        Ok(self.start_coll(plan, buf, CollOp::Gather, block as u64))
-    }
-
-    /// Nonblocking scatter (`MPI_Iscatter`): the root passes
-    /// `Some(send)` with `size × block_elems` elements, everyone else `None`;
-    /// on completion each rank's request yields its `block_elems`-element
-    /// chunk.
-    pub fn iscatter_from<T: Pod>(
-        &mut self,
-        root: Rank,
-        send: Option<&[T]>,
-        block_elems: usize,
-    ) -> Result<Request> {
-        self.world_of(root)?;
-        let n = self.group.size();
-        let block = block_elems * std::mem::size_of::<T>();
-        let buf = if self.rank == root {
-            let send = send.ok_or_else(|| {
-                MpiError::InvalidCollective("iscatter_from root must provide a send buffer".into())
-            })?;
-            if send.len() != n * block_elems {
-                return Err(MpiError::InvalidCollective(format!(
-                    "iscatter_from send buffer has {} elements, expected {} ({} ranks × {})",
-                    send.len(),
-                    n * block_elems,
-                    n,
-                    block_elems
-                )));
-            }
-            bytes_of(send).to_vec()
-        } else {
-            vec![0u8; block]
-        };
-        let view = self.view();
-        let plan = self.cached_plan(PlanKey::rooted(PlanOp::Scatter, root, block), |_, _, _| {
-            coll::build_scatter(&view, root, block)
-        })?;
-        Ok(self.start_coll(plan, buf, CollOp::Scatter, block as u64))
-    }
-
-    /// Nonblocking inclusive prefix reduction (`MPI_Iscan`): on completion
-    /// rank `r`'s request yields the element-wise reduction of ranks `0..=r`
-    /// via [`Request::take_values`].
-    pub fn iscan<T: Reducible>(&mut self, values: &[T], op: ReduceOp) -> Result<Request> {
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(PlanOp::Scan, None, count, std::mem::size_of::<T>(), op),
-            |_, _, _| coll::build_scan::<T>(&view, count, op),
-        )?;
-        Ok(self.start_coll(plan, bytes_of(values).to_vec(), CollOp::Scan, bytes))
-    }
-
-    /// Nonblocking exclusive prefix reduction (`MPI_Iexscan`): on completion
-    /// rank `r > 0`'s request yields the element-wise reduction of ranks
-    /// `0..r`; rank 0's request yields an empty result (the MPI "undefined"
-    /// slot).
-    pub fn iexscan<T: Reducible>(&mut self, values: &[T], op: ReduceOp) -> Result<Request> {
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(PlanOp::Exscan, None, count, std::mem::size_of::<T>(), op),
-            |_, _, _| coll::build_exscan::<T>(&view, count, op),
-        )?;
-        Ok(self.start_coll(plan, bytes_of(values).to_vec(), CollOp::Exscan, bytes))
-    }
-
-    /// Nonblocking complete exchange (`MPI_Ialltoall`): `send` holds one
-    /// equal block per rank (`size × block_elems` elements, block `r`
-    /// addressed to local rank `r`); on completion the request yields the
-    /// same-shaped buffer with block `r` holding rank `r`'s contribution.
-    pub fn ialltoall<T: Pod>(&mut self, send: &[T]) -> Result<Request> {
-        let n = self.group.size();
-        if !send.len().is_multiple_of(n) {
-            return Err(MpiError::InvalidCollective(format!(
-                "ialltoall send buffer of {} elements not divisible by {} ranks",
-                send.len(),
-                n
-            )));
-        }
-        let block = std::mem::size_of_val(send) / n;
-        let view = self.view();
-        let plan = self.cached_plan(
-            PlanKey::shaped(PlanOp::Alltoall, block),
-            |tuning, hier, dp| coll::build_alltoall(&view, tuning, hier, dp, block),
-        )?;
-        Ok(self.start_coll(
-            plan,
-            bytes_of(send).to_vec(),
-            CollOp::Alltoall,
-            (n * block) as u64,
-        ))
-    }
-
-    /// Nonblocking irregular complete exchange (`MPI_Ialltoallv`, packed
-    /// layout — see [`Comm::alltoallv`]); on completion the request yields
-    /// the packed receive segments.
-    pub fn ialltoallv<T: Pod>(
-        &mut self,
-        send: &[T],
-        send_counts: &[usize],
-        recv_counts: &[usize],
-    ) -> Result<Request> {
-        let elem = std::mem::size_of::<T>();
-        let (plan, send_total, recv_total) =
-            self.irregular_plan(send.len(), send_counts, recv_counts, elem, false)?;
-        let mut buf = vec![0u8; send_total + recv_total];
-        buf[..send_total].copy_from_slice(bytes_of(send));
-        Ok(self.start_coll(plan, buf, CollOp::Alltoall, send_total as u64))
-    }
-
-    /// Nonblocking byte-granular irregular complete exchange
-    /// (`MPI_Ialltoallw`'s role here — see [`Comm::alltoallw_bytes`]); on
-    /// completion the request yields the packed receive segments.
-    pub fn ialltoallw(
-        &mut self,
-        send: &[u8],
-        send_counts: &[usize],
-        recv_counts: &[usize],
-    ) -> Result<Request> {
-        let (plan, send_total, recv_total) =
-            self.irregular_plan(send.len(), send_counts, recv_counts, 1, true)?;
-        let mut buf = vec![0u8; send_total + recv_total];
-        buf[..send_total].copy_from_slice(send);
-        Ok(self.start_coll(plan, buf, CollOp::Alltoall, send_total as u64))
-    }
-
-    // ------------------------------------------------------------------
-    // Persistent collectives (MPI-4 `*_init` operations)
-    // ------------------------------------------------------------------
-    //
-    // A `*_init` method binds the communicator's *cached* plan for the
-    // requested shape to an owned execution and returns an **inactive**
-    // persistent [`Request`]. [`Comm::start`]/[`Comm::startall`] activate it
-    // (drawing a fresh collective sequence number and rewinding the
-    // execution — no re-planning, no reallocation); the request then
-    // completes through the ordinary `wait`/`test` machinery and becomes
-    // restartable. Between starts the bound contribution is rewritten with
-    // [`Request::write_input`] and a completed result is read (without
-    // consuming the request) with [`Request::read_result`];
-    // [`Request::release`] retires the request. Init calls are collective:
-    // every rank must create the matching request, and starts must follow the
-    // usual same-order rule for collectives on one communicator.
-
-    /// Package a cached plan as an inactive persistent request.
-    fn init_coll(
-        &mut self,
-        plan: Arc<CollPlan>,
-        buf: Vec<u8>,
-        op: CollOp,
-        payload_bytes: u64,
-    ) -> Request {
-        Request::coll_persistent(
-            self.ctx,
-            CollState::new(Execution::new(plan, 0), buf, self.rank),
-            PersistentMeta { op, payload_bytes },
-        )
-    }
-
-    /// Persistent barrier (`MPI_Barrier_init`).
-    pub fn barrier_init(&mut self) -> Result<Request> {
-        let view = self.view();
-        let plan = self.cached_plan(PlanKey::shaped(PlanOp::Barrier, 0), |tuning, hier, _| {
-            coll::build_barrier(&view, tuning, hier)
-        })?;
-        Ok(self.init_coll(plan, Vec::new(), CollOp::Barrier, 0))
-    }
-
-    /// Persistent broadcast (`MPI_Bcast_init`): binds `buf` as the payload
-    /// (read on the root at every start; replaced with the broadcast values
-    /// everywhere on completion, readable via [`Request::read_result`]).
-    /// All ranks must pass equal-length buffers.
-    pub fn bcast_init<T: Pod>(&mut self, root: Rank, buf: &[T]) -> Result<Request> {
-        self.world_of(root)?;
-        let bytes = std::mem::size_of_val(buf);
-        let view = self.view();
-        let plan = self.cached_plan(
-            PlanKey::rooted(PlanOp::Bcast, root, bytes),
-            |tuning, hier, dp| coll::build_bcast(&view, tuning, hier, dp, root, bytes),
-        )?;
-        Ok(self.init_coll(plan, bytes_of(buf).to_vec(), CollOp::Bcast, bytes as u64))
-    }
-
-    /// Persistent allreduce (`MPI_Allreduce_init`): binds a copy of `values`
-    /// as the contribution. Rewrite it between starts with
-    /// [`Request::write_input`]; without a rewrite, a restart reduces the
-    /// previous result again (the buffer is bound in place, as in MPI).
-    pub fn allreduce_init<T: Reducible>(&mut self, values: &[T], op: ReduceOp) -> Result<Request> {
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(PlanOp::Allreduce, None, count, std::mem::size_of::<T>(), op),
-            |tuning, hier, dp| coll::build_allreduce::<T>(&view, tuning, hier, dp, count, op),
-        )?;
-        Ok(self.init_coll(plan, bytes_of(values).to_vec(), CollOp::Allreduce, bytes))
-    }
-
-    /// Persistent rooted reduce (`MPI_Reduce_init`); see
-    /// [`Comm::allreduce_init`] for the rebind rules. Only the root's
-    /// completed request carries a result.
-    pub fn reduce_init<T: Reducible>(
-        &mut self,
-        root: Rank,
-        values: &[T],
-        op: ReduceOp,
-    ) -> Result<Request> {
-        self.world_of(root)?;
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(
-                PlanOp::Reduce,
-                Some(root),
-                count,
-                std::mem::size_of::<T>(),
-                op,
-            ),
-            |tuning, hier, dp| coll::build_reduce::<T>(&view, tuning, hier, dp, root, count, op),
-        )?;
-        Ok(self.init_coll(plan, bytes_of(values).to_vec(), CollOp::Reduce, bytes))
-    }
-
-    /// Persistent allgather (`MPI_Allgather_init`): binds `send` as this
-    /// rank's block of the flat `size × send.len()` result buffer.
-    pub fn allgather_init<T: Pod>(&mut self, send: &[T]) -> Result<Request> {
-        let n = self.group.size();
-        let block = std::mem::size_of_val(send);
-        let mut buf = vec![0u8; n * block];
-        buf[self.rank * block..(self.rank + 1) * block].copy_from_slice(bytes_of(send));
-        let view = self.view();
-        let plan = self.cached_plan(
-            PlanKey::shaped(PlanOp::Allgather, block),
-            |tuning, hier, dp| coll::build_allgather(&view, tuning, hier, dp, block),
-        )?;
-        Ok(self.init_coll(plan, buf, CollOp::Allgather, block as u64))
-    }
-
-    /// Persistent reduce-scatter (`MPI_Reduce_scatter_block_init`);
-    /// `values.len()` must be divisible by the rank count.
-    pub fn reduce_scatter_init<T: Reducible>(
-        &mut self,
-        values: &[T],
-        op: ReduceOp,
-    ) -> Result<Request> {
-        let n = self.group.size();
-        if !values.len().is_multiple_of(n) {
-            return Err(MpiError::InvalidCollective(format!(
-                "reduce_scatter_init input of {} elements not divisible by {} ranks",
-                values.len(),
-                n
-            )));
-        }
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(
-                PlanOp::ReduceScatter,
-                None,
-                count,
-                std::mem::size_of::<T>(),
-                op,
-            ),
-            |tuning, _, _| coll::build_reduce_scatter::<T>(&view, tuning, count, op),
-        )?;
-        Ok(self.init_coll(
-            plan,
-            bytes_of(values).to_vec(),
-            CollOp::ReduceScatter,
-            bytes,
-        ))
-    }
-
-    /// Persistent gather (`MPI_Gather_init`): binds `send` as this rank's
-    /// contribution; the root's completed request carries the flat gathered
-    /// buffer.
-    pub fn gather_init<T: Pod>(&mut self, root: Rank, send: &[T]) -> Result<Request> {
-        self.world_of(root)?;
-        let n = self.group.size();
-        let block = std::mem::size_of_val(send);
-        let buf = if self.rank == root {
-            let mut b = vec![0u8; n * block];
-            b[root * block..(root + 1) * block].copy_from_slice(bytes_of(send));
-            b
-        } else {
-            bytes_of(send).to_vec()
-        };
-        let view = self.view();
-        let plan = self.cached_plan(PlanKey::rooted(PlanOp::Gather, root, block), |_, _, _| {
-            coll::build_gather(&view, root, block)
-        })?;
-        Ok(self.init_coll(plan, buf, CollOp::Gather, block as u64))
-    }
-
-    /// Persistent scatter (`MPI_Scatter_init`): the root binds `Some(send)`
-    /// with `size × block_elems` elements, everyone else `None`; each
-    /// completed request carries this rank's chunk.
-    pub fn scatter_init<T: Pod>(
-        &mut self,
-        root: Rank,
-        send: Option<&[T]>,
-        block_elems: usize,
-    ) -> Result<Request> {
-        self.world_of(root)?;
-        let n = self.group.size();
-        let block = block_elems * std::mem::size_of::<T>();
-        let buf = if self.rank == root {
-            let send = send.ok_or_else(|| {
-                MpiError::InvalidCollective("scatter_init root must provide a send buffer".into())
-            })?;
-            if send.len() != n * block_elems {
-                return Err(MpiError::InvalidCollective(format!(
-                    "scatter_init send buffer has {} elements, expected {} ({} ranks × {})",
-                    send.len(),
-                    n * block_elems,
-                    n,
-                    block_elems
-                )));
-            }
-            bytes_of(send).to_vec()
-        } else {
-            vec![0u8; block]
-        };
-        let view = self.view();
-        let plan = self.cached_plan(PlanKey::rooted(PlanOp::Scatter, root, block), |_, _, _| {
-            coll::build_scatter(&view, root, block)
-        })?;
-        Ok(self.init_coll(plan, buf, CollOp::Scatter, block as u64))
-    }
-
-    /// Persistent inclusive prefix reduction (`MPI_Scan_init`); see
-    /// [`Comm::allreduce_init`] for the rebind rules.
-    pub fn scan_init<T: Reducible>(&mut self, values: &[T], op: ReduceOp) -> Result<Request> {
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(PlanOp::Scan, None, count, std::mem::size_of::<T>(), op),
-            |_, _, _| coll::build_scan::<T>(&view, count, op),
-        )?;
-        Ok(self.init_coll(plan, bytes_of(values).to_vec(), CollOp::Scan, bytes))
-    }
-
-    /// Persistent exclusive prefix reduction (`MPI_Exscan_init`); see
-    /// [`Comm::allreduce_init`] for the rebind rules.
-    pub fn exscan_init<T: Reducible>(&mut self, values: &[T], op: ReduceOp) -> Result<Request> {
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(PlanOp::Exscan, None, count, std::mem::size_of::<T>(), op),
-            |_, _, _| coll::build_exscan::<T>(&view, count, op),
-        )?;
-        Ok(self.init_coll(plan, bytes_of(values).to_vec(), CollOp::Exscan, bytes))
-    }
-
-    /// Persistent complete exchange (`MPI_Alltoall_init`): binds `send`
-    /// (one equal block per rank) as the contribution; rewrite it between
-    /// starts with [`Request::write_input`].
-    pub fn alltoall_init<T: Pod>(&mut self, send: &[T]) -> Result<Request> {
-        let n = self.group.size();
-        if !send.len().is_multiple_of(n) {
-            return Err(MpiError::InvalidCollective(format!(
-                "alltoall_init send buffer of {} elements not divisible by {} ranks",
-                send.len(),
-                n
-            )));
-        }
-        let block = std::mem::size_of_val(send) / n;
-        let view = self.view();
-        let plan = self.cached_plan(
-            PlanKey::shaped(PlanOp::Alltoall, block),
-            |tuning, hier, dp| coll::build_alltoall(&view, tuning, hier, dp, block),
-        )?;
-        Ok(self.init_coll(
-            plan,
-            bytes_of(send).to_vec(),
-            CollOp::Alltoall,
-            (n * block) as u64,
-        ))
-    }
-
-    /// Persistent irregular complete exchange (`MPI_Alltoallv_init`, packed
-    /// layout — see [`Comm::alltoallv`]). [`Request::write_input`] rewrites
-    /// the packed send segments between starts.
-    pub fn alltoallv_init<T: Pod>(
-        &mut self,
-        send: &[T],
-        send_counts: &[usize],
-        recv_counts: &[usize],
-    ) -> Result<Request> {
-        let elem = std::mem::size_of::<T>();
-        let (plan, send_total, recv_total) =
-            self.irregular_plan(send.len(), send_counts, recv_counts, elem, false)?;
-        let mut buf = vec![0u8; send_total + recv_total];
-        buf[..send_total].copy_from_slice(bytes_of(send));
-        Ok(self.init_coll(plan, buf, CollOp::Alltoall, send_total as u64))
-    }
-
-    /// Persistent byte-granular irregular complete exchange (see
-    /// [`Comm::alltoallw_bytes`]).
-    pub fn alltoallw_init(
-        &mut self,
-        send: &[u8],
-        send_counts: &[usize],
-        recv_counts: &[usize],
-    ) -> Result<Request> {
-        let (plan, send_total, recv_total) =
-            self.irregular_plan(send.len(), send_counts, recv_counts, 1, true)?;
-        let mut buf = vec![0u8; send_total + recv_total];
-        buf[..send_total].copy_from_slice(send);
-        Ok(self.init_coll(plan, buf, CollOp::Alltoall, send_total as u64))
-    }
-
-    /// Start (or restart) a persistent collective request (`MPI_Start`):
-    /// draws the next collective sequence number, rewinds the bound execution
-    /// and marks the request pending — no planning, no allocation. The
-    /// request must be inactive or complete; starting an in-flight request
-    /// errors. Starts count toward the same per-communicator ordering rule as
-    /// every other collective: all ranks must start their matching requests
-    /// in the same order relative to other collectives on the communicator.
-    pub fn start(&mut self, request: &mut Request) -> Result<()> {
-        self.ft_precheck()?;
-        self.check_request_ctx(request)?;
-        let meta = request.persistent.ok_or_else(|| {
-            MpiError::InvalidCollective(
-                "start requires a persistent collective request (*_init)".into(),
-            )
-        })?;
-        match request.state() {
-            RequestState::Inactive | RequestState::RecvComplete => {}
-            RequestState::RecvPending => {
-                return Err(MpiError::InvalidCollective(
-                    "start on a persistent request that is already in flight".into(),
-                ))
-            }
-            RequestState::SendComplete | RequestState::Consumed => {
-                return Err(MpiError::StaleRequest)
-            }
-        }
-        let algo = request
-            .coll_algorithm()
-            .expect("persistent request has a plan");
-        let seq = self.next_seq();
-        self.note_coll(meta.op, meta.payload_bytes);
-        self.note_algo(algo, meta.payload_bytes);
-        ProgressCounters::add(&self.shared.counters.colls_started, 1);
-        ProgressCounters::add(&self.shared.counters.persistent_starts, 1);
-        request.activate(seq);
-        // Hand the re-armed cell back to the background engine (no-op in
-        // Polling mode): completed cells were pruned from its queue.
-        if let Some(cell) = &request.coll {
-            self.shared.engine.enqueue(Arc::clone(cell));
-        }
-        Ok(())
-    }
-
-    /// Start every persistent request in the slice, in slice order
-    /// (`MPI_Startall`).
-    pub fn startall(&mut self, requests: &mut [Request]) -> Result<()> {
-        for request in requests.iter_mut() {
-            self.start(request)?;
-        }
-        Ok(())
-    }
-
     /// Drive transport-level progress without completing any request: moves
     /// fully-arrived messages off the wire into local staging so peers
     /// blocked on transport flow control (full CXL rings) can proceed while
@@ -2747,414 +1958,6 @@ impl Comm {
     pub fn win_fence(&mut self, win: WinId) -> Result<()> {
         let io = &mut *self.shared.io();
         io.transport.fence(&mut io.clock, win)
-    }
-
-    // ------------------------------------------------------------------
-    // Typed collectives
-    // ------------------------------------------------------------------
-
-    /// Broadcast the fixed-size buffer `buf` from `root`. Every rank must pass
-    /// a buffer of identical length. Size-adaptive: binomial tree for small
-    /// payloads, scatter + ring allgather above the configured threshold.
-    /// Repeated shapes hit the communicator's plan cache and skip planning.
-    pub fn bcast_into<T: Pod>(&mut self, root: Rank, buf: &mut [T]) -> Result<()> {
-        self.world_of(root)?;
-        let bytes = std::mem::size_of_val(buf);
-        let view = self.view();
-        let plan = self.cached_plan(
-            PlanKey::rooted(PlanOp::Bcast, root, bytes),
-            |tuning, hier, dp| coll::build_bcast(&view, tuning, hier, dp, root, bytes),
-        )?;
-        let seq = self.next_seq();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        self.run_exec(&mut exec, bytes_of_mut(buf))?;
-        self.note_coll(CollOp::Bcast, bytes as u64);
-        self.note_algo(plan.label, bytes as u64);
-        Ok(())
-    }
-
-    /// Gather equal-sized contributions into a flat buffer at `root`:
-    /// `recv[r * send.len() .. (r+1) * send.len()]` receives rank `r`'s
-    /// `send`. Non-root ranks pass `None`.
-    pub fn gather_into<T: Pod>(
-        &mut self,
-        root: Rank,
-        send: &[T],
-        recv: Option<&mut [T]>,
-    ) -> Result<()> {
-        self.world_of(root)?;
-        let n = self.group.size();
-        let me = self.rank;
-        let block = std::mem::size_of_val(send);
-        let view = self.view();
-        let plan = self.cached_plan(PlanKey::rooted(PlanOp::Gather, root, block), |_, _, _| {
-            coll::build_gather(&view, root, block)
-        })?;
-        let seq = self.next_seq();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        if me == root {
-            let recv = recv.ok_or_else(|| {
-                MpiError::InvalidCollective("gather_into root must provide a receive buffer".into())
-            })?;
-            if recv.len() != n * send.len() {
-                return Err(MpiError::InvalidCollective(format!(
-                    "gather_into receive buffer has {} elements, expected {} ({} ranks × {})",
-                    recv.len(),
-                    n * send.len(),
-                    n,
-                    send.len()
-                )));
-            }
-            recv[me * send.len()..(me + 1) * send.len()].copy_from_slice(send);
-            self.run_exec(&mut exec, bytes_of_mut(recv))?;
-        } else {
-            self.run_send_only_exec(&mut exec, bytes_of(send))?;
-        }
-        self.note_coll(CollOp::Gather, block as u64);
-        self.note_algo(plan.label, block as u64);
-        Ok(())
-    }
-
-    /// Allgather equal-sized contributions into a flat buffer on every rank:
-    /// `recv.len()` must equal `size × send.len()`. Size-adaptive: Bruck for
-    /// small blocks, ring for large ones.
-    pub fn allgather_into<T: Pod>(&mut self, send: &[T], recv: &mut [T]) -> Result<()> {
-        let n = self.group.size();
-        let me = self.rank;
-        if recv.len() != n * send.len() {
-            return Err(MpiError::InvalidCollective(format!(
-                "allgather_into receive buffer has {} elements, expected {} ({} ranks × {})",
-                recv.len(),
-                n * send.len(),
-                n,
-                send.len()
-            )));
-        }
-        let block = std::mem::size_of_val(send);
-        recv[me * send.len()..(me + 1) * send.len()].copy_from_slice(send);
-        let view = self.view();
-        let plan = self.cached_plan(
-            PlanKey::shaped(PlanOp::Allgather, block),
-            |tuning, hier, dp| coll::build_allgather(&view, tuning, hier, dp, block),
-        )?;
-        let seq = self.next_seq();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        self.run_exec(&mut exec, bytes_of_mut(recv))?;
-        self.note_coll(CollOp::Allgather, block as u64);
-        self.note_algo(plan.label, block as u64);
-        Ok(())
-    }
-
-    /// Scatter equal blocks of `send` from `root` into every rank's `recv`:
-    /// rank `r` receives `send[r * recv.len() .. (r+1) * recv.len()]`.
-    /// Non-root ranks pass `None`.
-    pub fn scatter_from<T: Pod>(
-        &mut self,
-        root: Rank,
-        send: Option<&[T]>,
-        recv: &mut [T],
-    ) -> Result<()> {
-        self.world_of(root)?;
-        let n = self.group.size();
-        let me = self.rank;
-        let block = std::mem::size_of_val(recv);
-        let view = self.view();
-        let plan = self.cached_plan(PlanKey::rooted(PlanOp::Scatter, root, block), |_, _, _| {
-            coll::build_scatter(&view, root, block)
-        })?;
-        let seq = self.next_seq();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        if me == root {
-            let send = send.ok_or_else(|| {
-                MpiError::InvalidCollective("scatter_from root must provide a send buffer".into())
-            })?;
-            if send.len() != n * recv.len() {
-                return Err(MpiError::InvalidCollective(format!(
-                    "scatter_from send buffer has {} elements, expected {} ({} ranks × {})",
-                    send.len(),
-                    n * recv.len(),
-                    n,
-                    recv.len()
-                )));
-            }
-            self.run_send_only_exec(&mut exec, bytes_of(send))?;
-            recv.copy_from_slice(&send[me * recv.len()..(me + 1) * recv.len()]);
-        } else {
-            self.run_exec(&mut exec, bytes_of_mut(recv))?;
-        }
-        self.note_coll(CollOp::Scatter, block as u64);
-        self.note_algo(plan.label, block as u64);
-        Ok(())
-    }
-
-    /// Reduce typed values to `root` (binomial tree; two-level across hosts
-    /// when the topology gates select it). Returns `Some(result)` on the
-    /// root, `None` elsewhere.
-    pub fn reduce<T: Reducible>(
-        &mut self,
-        root: Rank,
-        values: &[T],
-        op: ReduceOp,
-    ) -> Result<Option<Vec<T>>> {
-        self.world_of(root)?;
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(
-                PlanOp::Reduce,
-                Some(root),
-                count,
-                std::mem::size_of::<T>(),
-                op,
-            ),
-            |tuning, hier, dp| coll::build_reduce::<T>(&view, tuning, hier, dp, root, count, op),
-        )?;
-        let seq = self.next_seq();
-        let mut buf = bytes_of(values).to_vec();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        self.run_exec(&mut exec, &mut buf)?;
-        let out = if self.rank == root {
-            Some(vec_from_bytes(exec.result_slice(&buf)))
-        } else {
-            None
-        };
-        self.note_coll(CollOp::Reduce, bytes);
-        self.note_algo(plan.label, bytes);
-        Ok(out)
-    }
-
-    /// Allreduce typed values in place. Size-adaptive: recursive doubling for
-    /// small payloads, Rabenseifner above the configured threshold, with
-    /// power-of-two fold elimination for other rank counts.
-    pub fn allreduce<T: Reducible>(&mut self, values: &mut [T], op: ReduceOp) -> Result<()> {
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(PlanOp::Allreduce, None, count, std::mem::size_of::<T>(), op),
-            |tuning, hier, dp| coll::build_allreduce::<T>(&view, tuning, hier, dp, count, op),
-        )?;
-        let seq = self.next_seq();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        self.run_exec(&mut exec, bytes_of_mut(values))?;
-        self.note_coll(CollOp::Allreduce, bytes);
-        self.note_algo(plan.label, bytes);
-        Ok(())
-    }
-
-    /// Reduce-scatter typed values; returns this rank's block. Size-adaptive:
-    /// naive allreduce + selection for small payloads, recursive halving /
-    /// pairwise exchange above the configured threshold.
-    pub fn reduce_scatter<T: Reducible>(&mut self, values: &[T], op: ReduceOp) -> Result<Vec<T>> {
-        let n = self.group.size();
-        if !values.len().is_multiple_of(n) {
-            return Err(MpiError::InvalidCollective(format!(
-                "reduce_scatter input of {} elements not divisible by {} ranks",
-                values.len(),
-                n
-            )));
-        }
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(
-                PlanOp::ReduceScatter,
-                None,
-                count,
-                std::mem::size_of::<T>(),
-                op,
-            ),
-            |tuning, _, _| coll::build_reduce_scatter::<T>(&view, tuning, count, op),
-        )?;
-        let seq = self.next_seq();
-        let mut buf = bytes_of(values).to_vec();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        self.run_exec(&mut exec, &mut buf)?;
-        let out = vec_from_bytes(exec.result_slice(&buf));
-        self.note_coll(CollOp::ReduceScatter, bytes);
-        self.note_algo(plan.label, bytes);
-        Ok(out)
-    }
-
-    /// Inclusive prefix reduction (`MPI_Scan`), updated in place: rank `r`
-    /// ends up with the element-wise reduction of ranks `0..=r`
-    /// (Hillis–Steele recursive doubling over the plan layer; repeated
-    /// shapes hit the plan cache).
-    pub fn scan<T: Reducible>(&mut self, values: &mut [T], op: ReduceOp) -> Result<()> {
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(PlanOp::Scan, None, count, std::mem::size_of::<T>(), op),
-            |_, _, _| coll::build_scan::<T>(&view, count, op),
-        )?;
-        let seq = self.next_seq();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        self.run_exec(&mut exec, bytes_of_mut(values))?;
-        self.note_coll(CollOp::Scan, bytes);
-        self.note_algo(plan.label, bytes);
-        Ok(())
-    }
-
-    /// Exclusive prefix reduction (`MPI_Exscan`), updated in place: rank
-    /// `r > 0` ends up with the element-wise reduction of ranks `0..r`;
-    /// rank 0's buffer is left untouched (the MPI "undefined" slot).
-    pub fn exscan<T: Reducible>(&mut self, values: &mut [T], op: ReduceOp) -> Result<()> {
-        let bytes = std::mem::size_of_val(values) as u64;
-        let view = self.view();
-        let count = values.len();
-        let plan = self.cached_plan(
-            PlanKey::reduction::<T>(PlanOp::Exscan, None, count, std::mem::size_of::<T>(), op),
-            |_, _, _| coll::build_exscan::<T>(&view, count, op),
-        )?;
-        let seq = self.next_seq();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        self.run_exec(&mut exec, bytes_of_mut(values))?;
-        self.note_coll(CollOp::Exscan, bytes);
-        self.note_algo(plan.label, bytes);
-        Ok(())
-    }
-
-    /// Complete exchange (`MPI_Alltoall`) of equal per-rank blocks: `send`
-    /// holds `size × block_elems` elements with block `r` addressed to local
-    /// rank `r`; `recv` (same shape) ends up with block `r` holding rank
-    /// `r`'s contribution to this rank. Size-adaptive: the single-copy shm
-    /// data plane when the exchange fits a window slot, the host-hierarchical
-    /// composition above [`crate::config::CollTuning::hier_alltoall_min_bytes`],
-    /// Bruck for blocks up to
-    /// [`crate::config::CollTuning::alltoall_bruck_max_bytes`], pairwise
-    /// exchange for the rest.
-    pub fn alltoall<T: Pod>(&mut self, send: &[T], recv: &mut [T]) -> Result<()> {
-        let n = self.group.size();
-        if !send.len().is_multiple_of(n) || recv.len() != send.len() {
-            return Err(MpiError::InvalidCollective(format!(
-                "alltoall buffers must both hold size × block elements ({} ranks, got send {} / recv {})",
-                n,
-                send.len(),
-                recv.len()
-            )));
-        }
-        let block = std::mem::size_of_val(send) / n;
-        // The plan runs in place: the buffer starts as the send image and
-        // finishes as the receive image.
-        recv.copy_from_slice(send);
-        let view = self.view();
-        let plan = self.cached_plan(
-            PlanKey::shaped(PlanOp::Alltoall, block),
-            |tuning, hier, dp| coll::build_alltoall(&view, tuning, hier, dp, block),
-        )?;
-        let seq = self.next_seq();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        self.run_exec(&mut exec, bytes_of_mut(recv))?;
-        self.note_coll(CollOp::Alltoall, (n * block) as u64);
-        self.note_algo(plan.label, (n * block) as u64);
-        Ok(())
-    }
-
-    /// Validate an irregular exchange's shape and fetch/build its cached
-    /// plan. Returns the plan and the packed send/receive image sizes in
-    /// bytes.
-    fn irregular_plan(
-        &mut self,
-        send_elems: usize,
-        send_counts: &[usize],
-        recv_counts: &[usize],
-        elem: usize,
-        byte_variant: bool,
-    ) -> Result<(Arc<CollPlan>, usize, usize)> {
-        let n = self.group.size();
-        let name = if byte_variant {
-            "alltoallw"
-        } else {
-            "alltoallv"
-        };
-        if send_counts.len() != n || recv_counts.len() != n {
-            return Err(MpiError::InvalidCollective(format!(
-                "{name} takes one send and one receive count per rank ({n} ranks, got {} / {})",
-                send_counts.len(),
-                recv_counts.len()
-            )));
-        }
-        let send_sum: usize = send_counts.iter().sum();
-        if send_elems != send_sum {
-            return Err(MpiError::InvalidCollective(format!(
-                "{name} send buffer has {send_elems} elements, counts sum to {send_sum}"
-            )));
-        }
-        if send_counts[self.rank] != recv_counts[self.rank] {
-            return Err(MpiError::InvalidCollective(format!(
-                "{name} self segment disagrees: sending {} to self, expecting {}",
-                send_counts[self.rank], recv_counts[self.rank]
-            )));
-        }
-        let op = if byte_variant {
-            PlanOp::Alltoallw
-        } else {
-            PlanOp::Alltoallv
-        };
-        let mut counts = Vec::with_capacity(2 * n);
-        counts.extend_from_slice(send_counts);
-        counts.extend_from_slice(recv_counts);
-        let view = self.view();
-        let plan = self.cached_plan(PlanKey::irregular(op, counts, elem), |_, _, _| {
-            coll::build_alltoallv(&view, send_counts, recv_counts, elem, byte_variant)
-        })?;
-        let recv_sum: usize = recv_counts.iter().sum();
-        Ok((plan, send_sum * elem, recv_sum * elem))
-    }
-
-    /// Irregular complete exchange (`MPI_Alltoallv`) in the **packed**
-    /// layout: no displacement arrays — `send` concatenates the per-peer
-    /// segments in rank order (`send_counts[r]` elements for local rank
-    /// `r`), and the returned vector concatenates the received segments the
-    /// same way (`recv_counts[r]` elements from rank `r`). Counts must agree
-    /// pairwise across ranks (`send_counts[d]` here = `recv_counts[me]`
-    /// there), as in MPI. Empty segments are free: a zero-count pair sends
-    /// no message at all. Irregular shapes always run the flat pairwise
-    /// schedule.
-    pub fn alltoallv<T: Pod>(
-        &mut self,
-        send: &[T],
-        send_counts: &[usize],
-        recv_counts: &[usize],
-    ) -> Result<Vec<T>> {
-        let elem = std::mem::size_of::<T>();
-        let (plan, send_total, recv_total) =
-            self.irregular_plan(send.len(), send_counts, recv_counts, elem, false)?;
-        let mut buf = vec![0u8; send_total + recv_total];
-        buf[..send_total].copy_from_slice(bytes_of(send));
-        let seq = self.next_seq();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        self.run_exec(&mut exec, &mut buf)?;
-        let out = vec_from_bytes(exec.result_slice(&buf));
-        self.note_coll(CollOp::Alltoall, send_total as u64);
-        self.note_algo(plan.label, send_total as u64);
-        Ok(out)
-    }
-
-    /// Byte-granular irregular complete exchange — this API's rendition of
-    /// `MPI_Alltoallw` (heterogeneous per-peer types reduce to per-peer byte
-    /// counts once buffers are packed): segment sizes are given directly in
-    /// bytes. Layout and zero-count semantics as in [`Comm::alltoallv`].
-    pub fn alltoallw_bytes(
-        &mut self,
-        send: &[u8],
-        send_counts: &[usize],
-        recv_counts: &[usize],
-    ) -> Result<Vec<u8>> {
-        let (plan, send_total, recv_total) =
-            self.irregular_plan(send.len(), send_counts, recv_counts, 1, true)?;
-        let mut buf = vec![0u8; send_total + recv_total];
-        buf[..send_total].copy_from_slice(send);
-        let seq = self.next_seq();
-        let mut exec = Execution::new(Arc::clone(&plan), seq);
-        self.run_exec(&mut exec, &mut buf)?;
-        let out = exec.result_slice(&buf).to_vec();
-        self.note_coll(CollOp::Alltoall, send_total as u64);
-        self.note_algo(plan.label, send_total as u64);
-        Ok(out)
     }
 }
 

@@ -18,7 +18,11 @@
 //! [`crate::config::CollTuning::plan_cache_entries`]. The key captures
 //! everything a builder consults besides the communicator itself: the
 //! operation, the root, the payload shape (byte count + element count), the
-//! element type and the reduction operator. The remaining inputs —
+//! element type, the reduction operator and the per-peer counts of an
+//! irregular exchange. Each collective's builder is a plain `fn` that reads
+//! those inputs from the key (one descriptor per operation, in
+//! `comm/collective.rs`), so nothing outside the key can reach a cached
+//! plan. The remaining inputs —
 //! group, topology-derived hierarchy, tuning and the availability of the
 //! communicator's shared data-plane window (created eagerly at communicator
 //! construction, or never) — are fixed per communicator for the lifetime of
@@ -67,7 +71,8 @@ pub(crate) enum PlanOp {
 /// Cache key of one plan shape. Two calls with equal keys on one
 /// communicator are guaranteed to build byte-identical plans, so collisions
 /// are impossible by construction: every builder input that can vary between
-/// calls appears as a component.
+/// calls appears as a component, and the builders are capture-free `fn`s of
+/// the key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PlanKey {
     /// The collective operation.

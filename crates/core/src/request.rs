@@ -92,7 +92,7 @@ pub struct Request {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PersistentMeta {
     /// The collective operation (for the per-communicator counters).
-    pub op: crate::comm::CollOp,
+    pub op: crate::plan::PlanOp,
     /// Payload bytes this rank contributes per start.
     pub payload_bytes: u64,
 }

@@ -4,6 +4,9 @@
 
 #![allow(dead_code)] // not every suite uses every helper
 
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
+
 use cmpi::fabric::cost::TcpNic;
 use cmpi::mpi::{CollTuning, DataPlaneMode, HierarchyMode, TransportConfig, UniverseConfig};
 
@@ -150,5 +153,24 @@ pub fn force_ring() -> CollTuning {
         hierarchy: HierarchyMode::Off,
         data_plane: DataPlaneMode::Ring,
         ..CollTuning::default()
+    }
+}
+
+/// Run `f` on a helper thread and fail — instead of hanging the suite — if it
+/// does not finish within a minute.
+pub fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(v) => {
+            runner.join().expect("runner finished after sending");
+            v
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what} did not finish within 60 s (deadlock)"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("runner dropped its result"))
+        }
     }
 }

@@ -2,29 +2,12 @@
 //! receiver's queue capacity, crossing each other or the SRQ → queue-pair
 //! promotion, must neither deadlock nor reorder.
 
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use cmpi::mpi::{Comm, DataPlaneMode, Request, Universe, UniverseConfig};
 
-/// Run `f` on a helper thread and fail — instead of hanging the suite — if it
-/// does not finish within a minute.
-fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(v) => {
-            runner.join().expect("runner finished after sending");
-            v
-        }
-        Err(RecvTimeoutError::Timeout) => panic!("{what} did not finish within 60 s (deadlock)"),
-        Err(RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(runner.join().expect_err("runner dropped its result"))
-        }
-    }
-}
+mod common;
+use common::within_a_minute;
 
 /// Deterministic bytes unique to `(key, len)`.
 fn pattern(key: usize, len: usize) -> Vec<u8> {

@@ -2,16 +2,16 @@
 //!
 //! The three start paths — blocking, nonblocking `i*`, persistent
 //! `*_init`/`start` — must produce byte-identical results (they bind the same
-//! cached plans), across non-power-of-two rank counts, both transports and
-//! hierarchy Off/Force. Plan-cache keys must isolate every shape component
+//! cached plan: one cache entry per shape, whichever form built it), across
+//! non-power-of-two rank counts, both transports and hierarchy Off/Force. Plan-cache keys must isolate every shape component
 //! (count, root, element type, reduction operator, communicator), and
 //! interleaved persistent + one-shot collectives must stay correct across a
 //! full collective-sequence-window wrap (> 2048 starts on one communicator).
 
-use cmpi::mpi::{Comm, MpiError, ReduceOp, RequestState, Universe, UniverseConfig};
+use cmpi::mpi::{Comm, MpiError, PlanCacheStats, ReduceOp, RequestState, Universe, UniverseConfig};
 
 mod common;
-use common::{configs, force_hier, force_small};
+use common::{configs, force_hier, force_small, within_a_minute};
 
 /// Deterministic per-(rank, iteration) input.
 fn seeded(me: usize, iter: i64, count: usize) -> Vec<i64> {
@@ -32,6 +32,7 @@ fn persistent_equals_blocking_equals_nonblocking_across_matrix() {
                     let count = 3 * n; // divisible by n for reduce_scatter
                     let root = 1 % n;
                     let zero = vec![0i64; count];
+                    let cache_at_start = comm.plan_cache_stats();
 
                     // Bind every persistent request once; the loop below
                     // rewrites inputs and restarts them.
@@ -43,6 +44,19 @@ fn persistent_equals_blocking_equals_nonblocking_across_matrix() {
                     let mut p_rs = comm.reduce_scatter_init(&zero, ReduceOp::Sum)?;
                     let mut p_scan = comm.scan_init(&zero, ReduceOp::Sum)?;
                     let mut p_exscan = comm.exscan_init(&zero, ReduceOp::Sum)?;
+                    // Gather, scatter and alltoall bind on the first pass,
+                    // *after* their blocking and `i*` forms ran the same
+                    // shape: the blocking call builds the plan, the other two
+                    // forms must hit it.
+                    let mut p_gather = None;
+                    let mut p_scatter = None;
+                    let mut p_alltoall = None;
+                    let one_miss_then_hits = |before: PlanCacheStats, comm: &Comm, what: &str| {
+                        let after = comm.plan_cache_stats();
+                        assert_eq!(after.misses, before.misses + 1, "{what}: {after:?}");
+                        assert_eq!(after.hits, before.hits + 2, "{what}: {after:?}");
+                        assert_eq!(after.entries, before.entries + 1, "{what}: {after:?}");
+                    };
 
                     for iter in 0..3i64 {
                         let input = seeded(me, iter, count);
@@ -174,11 +188,93 @@ fn persistent_equals_blocking_equals_nonblocking_across_matrix() {
                             assert_eq!(b_ex, nb, "exscan i* diverged");
                             assert_eq!(b_ex, pr, "exscan persistent diverged");
                         }
+
+                        // --- gather -------------------------------------
+                        let mine = &input[..3];
+                        let before = comm.plan_cache_stats();
+                        let mut blocking = vec![0i64; 3 * n];
+                        let recv = (me == root).then_some(&mut blocking[..]);
+                        comm.gather_into(root, mine, recv)?;
+                        let mut r = comm.igather_into(root, mine)?;
+                        comm.wait(&mut r)?;
+                        let nb: Vec<i64> = r.take_values()?;
+                        if p_gather.is_none() {
+                            p_gather = Some(comm.gather_init(root, mine)?);
+                            one_miss_then_hits(before, comm, "gather");
+                        }
+                        let p = p_gather.as_mut().expect("bound above");
+                        p.write_input(mine)?;
+                        comm.start(p)?;
+                        comm.wait(p)?;
+                        let pr: Vec<i64> = p.read_result()?;
+                        if me == root {
+                            let expect: Vec<i64> = (0..n)
+                                .flat_map(|r| seeded(r, iter, count)[..3].to_vec())
+                                .collect();
+                            assert_eq!(blocking, expect, "gather reference mismatch");
+                            assert_eq!(blocking, nb, "gather i* diverged");
+                            assert_eq!(blocking, pr, "gather persistent diverged");
+                        } else {
+                            assert!(nb.is_empty());
+                            assert!(pr.is_empty());
+                        }
+
+                        // --- scatter ------------------------------------
+                        let before = comm.plan_cache_stats();
+                        let send = (me == root).then_some(&input[..]);
+                        let mut blocking = vec![0i64; 3];
+                        comm.scatter_from(root, send, &mut blocking)?;
+                        let mut r = comm.iscatter_from(root, send, 3)?;
+                        comm.wait(&mut r)?;
+                        let nb: Vec<i64> = r.take_values()?;
+                        if p_scatter.is_none() {
+                            p_scatter = Some(comm.scatter_init(root, send, 3)?);
+                            one_miss_then_hits(before, comm, "scatter");
+                        }
+                        let p = p_scatter.as_mut().expect("bound above");
+                        if me == root {
+                            p.write_input(&input)?;
+                        }
+                        comm.start(p)?;
+                        comm.wait(p)?;
+                        let pr: Vec<i64> = p.read_result()?;
+                        let expect = seeded(root, iter, count)[3 * me..3 * me + 3].to_vec();
+                        assert_eq!(blocking, expect, "scatter reference mismatch");
+                        assert_eq!(blocking, nb, "scatter i* diverged");
+                        assert_eq!(blocking, pr, "scatter persistent diverged");
+
+                        // --- alltoall -----------------------------------
+                        let before = comm.plan_cache_stats();
+                        let mut blocking = vec![0i64; count];
+                        comm.alltoall(&input, &mut blocking)?;
+                        let mut r = comm.ialltoall(&input)?;
+                        comm.wait(&mut r)?;
+                        let nb: Vec<i64> = r.take_values()?;
+                        if p_alltoall.is_none() {
+                            p_alltoall = Some(comm.alltoall_init(&input)?);
+                            one_miss_then_hits(before, comm, "alltoall");
+                        }
+                        let p = p_alltoall.as_mut().expect("bound above");
+                        p.write_input(&input)?;
+                        comm.start(p)?;
+                        comm.wait(p)?;
+                        let pr: Vec<i64> = p.read_result()?;
+                        let expect: Vec<i64> = (0..n)
+                            .flat_map(|r| seeded(r, iter, count)[3 * me..3 * me + 3].to_vec())
+                            .collect();
+                        assert_eq!(blocking, expect, "alltoall reference mismatch");
+                        assert_eq!(blocking, nb, "alltoall i* diverged");
+                        assert_eq!(blocking, pr, "alltoall persistent diverged");
                     }
 
-                    // Every shape ran three times per path: the cache must
-                    // have served the repeats without re-planning.
+                    // Every shape ran three times per path, and the three
+                    // forms of a shape share one cache entry: exactly one
+                    // miss per shape (the world barrier's blocking form uses
+                    // the transport's sequence barrier, not a plan).
                     let stats = comm.plan_cache_stats();
+                    let shapes = 11;
+                    assert_eq!(stats.misses - cache_at_start.misses, shapes, "{stats:?}");
+                    assert_eq!(stats.entries - cache_at_start.entries, shapes as usize);
                     assert!(stats.hits > stats.misses, "cache barely used: {stats:?}");
                     Ok(())
                 })
@@ -244,6 +340,53 @@ fn plan_cache_keys_isolate_every_shape_component() {
         assert!(report.plan_cache.hits >= 1, "{:?}", report.plan_cache);
         assert!(report.plan_cache.entries >= 6, "{:?}", report.plan_cache);
     }
+}
+
+#[test]
+fn rejected_root_gather_and_scatter_leave_no_trace() {
+    // A blocking gather/scatter whose root buffer has the wrong length is a
+    // local argument error: the root must return it before drawing a
+    // collective sequence number or touching the plan cache, so the next
+    // collective on the communicator still matches the peers' (who never
+    // entered the rejected call).
+    within_a_minute("rejected root gather/scatter", || {
+        Universe::run(UniverseConfig::cxl_small(2), |comm: &mut Comm| {
+            let me = comm.rank();
+            let root = 0;
+            if me == root {
+                let before = comm.plan_cache_stats();
+                let send = [7u64; 2];
+                let mut short = [0u64; 3]; // needs 2 ranks × 2
+                assert!(matches!(
+                    comm.gather_into(root, &send, Some(&mut short)),
+                    Err(MpiError::InvalidCollective(_))
+                ));
+                assert!(matches!(
+                    comm.gather_into::<u64>(root, &send, None),
+                    Err(MpiError::InvalidCollective(_))
+                ));
+                let mut recv = [0u64; 2];
+                assert!(matches!(
+                    comm.scatter_from(root, Some(&short[..]), &mut recv),
+                    Err(MpiError::InvalidCollective(_))
+                ));
+                assert!(matches!(
+                    comm.scatter_from::<u64>(root, None, &mut recv),
+                    Err(MpiError::InvalidCollective(_))
+                ));
+                assert_eq!(
+                    comm.plan_cache_stats(),
+                    before,
+                    "rejected calls touched the cache"
+                );
+            }
+            let mut v = vec![me as u64 + 1; 4];
+            comm.allreduce(&mut v, ReduceOp::Sum)?;
+            assert_eq!(v, vec![3; 4]);
+            Ok(())
+        })
+        .expect("universe");
+    });
 }
 
 #[test]
